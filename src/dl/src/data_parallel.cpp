@@ -94,7 +94,9 @@ TrainResult train_data_parallel(const Dataset& dataset,
                      {},
                      {},
                      {},
-                     0.0};
+                     0.0,
+                     {},
+                     0};
 
   const core::EvalContext local_ctx = config.base.eval_context(run);
   core::EvalContext comm_ctx;

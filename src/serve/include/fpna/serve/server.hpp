@@ -18,6 +18,7 @@
 // exception can never leave a submitted future dangling (pinned by
 // serve_test's injected-throw case).
 
+#include <atomic>
 #include <cstddef>
 #include <chrono>
 #include <future>
@@ -67,7 +68,9 @@ class InferenceServer {
   std::future<InferenceResult> submit(Request request);
 
   /// Closes admission, serves everything already admitted, joins the
-  /// batcher. Idempotent; the destructor calls it.
+  /// batcher. Safe to call repeatedly and from several threads at once:
+  /// only the first call closes and joins, later calls return at once.
+  /// The destructor calls it.
   void shutdown();
 
   /// Instantaneous admission backlog (approximate by nature).
@@ -90,7 +93,7 @@ class InferenceServer {
   core::EvalContext ctx_;
   MpscQueue<Submission> queue_;
   std::thread batcher_;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};
 };
 
 }  // namespace fpna::serve

@@ -39,8 +39,7 @@ std::future<InferenceResult> InferenceServer::submit(Request request) {
 }
 
 void InferenceServer::shutdown() {
-  if (stopped_) return;
-  stopped_ = true;
+  if (stopped_.exchange(true)) return;
   queue_.close();
   if (batcher_.joinable()) batcher_.join();
 }

@@ -1,7 +1,7 @@
 #include "fpna/tensor/indexed_ops.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -10,7 +10,6 @@
 
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/obs/recorder.hpp"
-#include "fpna/sim/scheduler.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/thread_pool.hpp"
 
@@ -36,8 +35,9 @@ struct Contribution {
   std::int64_t src;
 };
 
-/// The commit order of the contributions: identity for the deterministic
-/// path, a contention-aware scheduler draw for the non-deterministic one.
+/// Calls `commit` on every contribution in a commit order: issue order
+/// on the deterministic path, a contention-aware scheduler draw on the
+/// non-deterministic one.
 ///
 /// Contention model: same-address atomics funnel through a per-address
 /// queue. When an address is heavily contended (c contributions), the
@@ -52,25 +52,40 @@ struct Contribution {
 /// per-address contention and therefore near-FIFO (reproducible) commit
 /// despite the many collisions, while R near 1 leaves exactly the racy
 /// two-way collisions that reorder run to run.
-std::vector<std::size_t> commit_order(const std::vector<Contribution>& contribs,
-                                      std::int64_t out_numel,
-                                      const OpContext& ctx,
-                                      bool is_store = false) {
-  const std::size_t n = contribs.size();
+///
+/// Draw contract: the run's generator is drawn for exactly
+/// util::random_permutation(n) - the global interleaving of the
+/// contributions - and then one util::canonical per destination with
+/// >= 2 contributions, in ascending destination order, deciding whether
+/// its queue drains FIFO. Nothing else is drawn, so the same RunContext
+/// gives the same bits (pinned by tensor_test's IndexedOpsGolden
+/// fingerprints and the benchmark's infer-nd fingerprint).
+///
+/// A commit touches only its own destination, so the only observable
+/// order is each destination's own: a FIFO destination commits its
+/// contributions in issue order, a racing one in the order the
+/// interleaving visits them. Two linear passes realise exactly that -
+/// issue order for the FIFO (and single-contribution) destinations, then
+/// the interleaving for the racing ones - with no per-destination lists.
+template <typename Commit>
+void for_each_commit(const std::vector<Contribution>& contribs,
+                     std::int64_t out_numel, const OpContext& ctx,
+                     bool is_store, const Commit& commit) {
   if (!ctx.nondeterministic()) {
-    std::vector<std::size_t> identity(n);
-    for (std::size_t i = 0; i < n; ++i) identity[i] = i;
-    return identity;
+    for (const auto& c : contribs) commit(c);
+    return;
   }
+  const std::size_t n = contribs.size();
+  const auto numel = static_cast<std::size_t>(out_numel);
   auto& rng = ctx.run->rng();
 
   // Global scheduler jitter: any interleaving of distinct addresses is
-  // fair game (it cannot change accumulation values; it exists so the
-  // write-race ops see realistic cross-address orders too).
-  std::vector<std::size_t> order = util::random_permutation(n, rng);
+  // fair game.
+  const std::vector<std::size_t> interleaving =
+      util::random_permutation(n, rng);
 
   // Per-destination contention counts.
-  std::vector<std::uint32_t> count(static_cast<std::size_t>(out_numel), 0);
+  std::vector<std::uint32_t> count(numel, 0);
   for (const auto& c : contribs) ++count[static_cast<std::size_t>(c.dst)];
 
   // Mean queue depth g = contributions per output element. The race
@@ -86,34 +101,27 @@ std::vector<std::size_t> commit_order(const std::vector<Contribution>& contribs,
   // OpContext::store_race_scale.
   if (is_store) race_probability *= ctx.store_race_scale;
 
-  // Decide per destination whether its queue drains FIFO this run.
-  std::vector<char> fifo(static_cast<std::size_t>(out_numel), 0);
-  for (std::int64_t d = 0; d < out_numel; ++d) {
-    if (count[static_cast<std::size_t>(d)] < 2) continue;
-    fifo[static_cast<std::size_t>(d)] =
-        util::canonical(rng) >= race_probability;
+  // Decide per destination whether its queue drains in issue order this
+  // run (a lone contribution has no order to lose, and draws nothing).
+  std::vector<char> in_order(numel, 0);
+  for (std::size_t d = 0; d < numel; ++d) {
+    in_order[d] = count[d] < 2 || util::canonical(rng) >= race_probability;
   }
 
-  // Restore issue order among each FIFO destination's contributions while
-  // keeping their commit *slots* (stable within the global interleaving).
-  std::vector<std::vector<std::size_t>> slots_of(
-      static_cast<std::size_t>(out_numel));
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const auto d = static_cast<std::size_t>(contribs[order[pos]].dst);
-    if (fifo[d]) slots_of[d].push_back(pos);
-  }
-  for (std::int64_t d = 0; d < out_numel; ++d) {
-    auto& slots = slots_of[static_cast<std::size_t>(d)];
-    if (slots.size() < 2) continue;
-    std::vector<std::size_t> members;
-    members.reserve(slots.size());
-    for (const std::size_t pos : slots) members.push_back(order[pos]);
-    std::sort(members.begin(), members.end());  // issue order
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      order[slots[i]] = members[i];
+  std::vector<char> racing(n, 0);
+  bool any_racing = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (in_order[static_cast<std::size_t>(contribs[k].dst)]) {
+      commit(contribs[k]);
+    } else {
+      racing[k] = 1;
+      any_racing = true;
     }
   }
-  return order;
+  if (!any_racing) return;
+  for (const std::size_t k : interleaving) {
+    if (racing[k]) commit(contribs[k]);
+  }
 }
 
 void check_dim(std::int64_t dim, std::int64_t rank, const char* op) {
@@ -123,20 +131,43 @@ void check_dim(std::int64_t dim, std::int64_t rank, const char* op) {
   }
 }
 
-/// Decomposes a flat offset of `t` into coordinates (row-major).
-template <typename T>
-void unravel(const Tensor<T>& t, std::int64_t flat,
-             std::vector<std::int64_t>& coords) {
-  const auto& strides = t.strides();
-  coords.resize(strides.size());
-  for (std::size_t d = 0; d < strides.size(); ++d) {
-    coords[d] = flat / strides[d];
-    flat %= strides[d];
+/// Checks every index value against the size of `dim` in the output, in
+/// flat order, so the first bad value in source order is the one named.
+void check_index_values(std::span<const std::int64_t> targets,
+                        std::int64_t out_dim_size, const char* op) {
+  for (const std::int64_t target : targets) {
+    if (target < 0 || target >= out_dim_size) {
+      throw std::out_of_range(std::string(op) + ": index value " +
+                              std::to_string(target) + " out of range [0, " +
+                              std::to_string(out_dim_size) + ")");
+    }
   }
 }
 
+/// Flat offsets, under `strides`, of every row-major position of
+/// `shape`'s dims [begin, end), the other coordinates being zero.
+std::vector<std::int64_t> embedded_offsets(const Shape& shape,
+                                           const Shape& strides,
+                                           std::size_t begin,
+                                           std::size_t end) {
+  std::int64_t count = 1;
+  for (std::size_t d = begin; d < end; ++d) count *= shape[d];
+  std::vector<std::int64_t> offsets(static_cast<std::size_t>(count));
+  for (std::int64_t p = 0; p < count; ++p) {
+    std::int64_t rest = p;
+    std::int64_t offset = 0;
+    for (std::size_t d = end; d-- > begin;) {
+      offset += (rest % shape[d]) * strides[d];
+      rest /= shape[d];
+    }
+    offsets[static_cast<std::size_t>(p)] = offset;
+  }
+  return offsets;
+}
+
 /// Builds the contribution list of index_add / index_copy: source slice k
-/// (along `dim`) maps onto destination slice index[k].
+/// (along `dim`) maps onto destination slice index[k]. Contribution s is
+/// source element s, so the list is in issue order.
 template <typename T>
 std::vector<Contribution> slice_contributions(
     const Tensor<T>& out, std::int64_t dim,
@@ -159,20 +190,26 @@ std::vector<Contribution> slice_contributions(
   }
 
   std::vector<Contribution> contribs;
-  contribs.reserve(static_cast<std::size_t>(source.numel()));
-  std::vector<std::int64_t> coords;
+  if (source.numel() == 0) return contribs;  // nothing commits
   const std::int64_t out_dim_size = out.size(dim);
-  for (std::int64_t s = 0; s < source.numel(); ++s) {
-    unravel(source, s, coords);
-    const std::int64_t k = coords[static_cast<std::size_t>(dim)];
-    const std::int64_t target = index.flat(k);
-    if (target < 0 || target >= out_dim_size) {
-      throw std::out_of_range(std::string(op) + ": index value " +
-                              std::to_string(target) + " out of range [0, " +
-                              std::to_string(out_dim_size) + ")");
+  const std::span<const std::int64_t> targets = index.data();
+  check_index_values(targets, out_dim_size, op);
+
+  // Row-major [outer, k, inner] around dim. Shapes agree outside dim, so
+  // source element (o, k, i) lands on destination element (o, index[k], i).
+  const std::int64_t k_size = source.size(dim);
+  const std::int64_t inner = source.stride(dim);
+  const std::int64_t outer = source.numel() / (k_size * inner);
+  contribs.reserve(static_cast<std::size_t>(source.numel()));
+  std::int64_t s = 0;
+  for (std::int64_t o = 0; o < outer; ++o) {
+    for (std::int64_t k = 0; k < k_size; ++k) {
+      const std::int64_t base =
+          (o * out_dim_size + targets[static_cast<std::size_t>(k)]) * inner;
+      for (std::int64_t i = 0; i < inner; ++i) {
+        contribs.push_back({base + i, s++});
+      }
     }
-    coords[static_cast<std::size_t>(dim)] = target;
-    contribs.push_back({out.offset(coords), s});
   }
   return contribs;
 }
@@ -200,30 +237,34 @@ std::vector<Contribution> elementwise_contributions(
   }
 
   std::vector<Contribution> contribs;
+  if (src.numel() == 0) return contribs;
+  const std::span<const std::int64_t> targets = index.data();
+  check_index_values(targets, out.size(dim), op);
+
+  // src may be narrower than out outside dim, so its outer and inner
+  // coordinates map to out offsets through out's strides.
+  const auto d = static_cast<std::size_t>(dim);
+  const auto outer_offsets =
+      embedded_offsets(src.shape(), out.strides(), 0, d);
+  const auto inner_offsets =
+      embedded_offsets(src.shape(), out.strides(), d + 1, src.shape().size());
+  const std::int64_t out_stride = out.strides()[d];
+  const std::int64_t k_size = src.shape()[d];
   contribs.reserve(static_cast<std::size_t>(src.numel()));
-  std::vector<std::int64_t> coords;
-  const std::int64_t out_dim_size = out.size(dim);
-  for (std::int64_t s = 0; s < src.numel(); ++s) {
-    unravel(src, s, coords);
-    const std::int64_t target = index.flat(s);
-    if (target < 0 || target >= out_dim_size) {
-      throw std::out_of_range(std::string(op) + ": index value " +
-                              std::to_string(target) + " out of range [0, " +
-                              std::to_string(out_dim_size) + ")");
+  std::int64_t s = 0;
+  for (const std::int64_t outer : outer_offsets) {
+    for (std::int64_t k = 0; k < k_size; ++k) {
+      for (const std::int64_t inner : inner_offsets) {
+        contribs.push_back(
+            {outer + targets[static_cast<std::size_t>(s)] * out_stride + inner,
+             s});
+        ++s;
+      }
     }
-    coords[static_cast<std::size_t>(dim)] = target;
-    contribs.push_back({out.offset(coords), s});
   }
   return contribs;
 }
 
-/// Deterministic accumulation of `contribs` into `out` through the
-/// context's registry-selected accumulator: per destination, the self
-/// value seeds the accumulator (unless `seed_self` is false, the
-/// scatter_reduce include_self=false case), then contributions fold in
-/// issue order. The serial algorithm is special-cased to the classic
-/// in-place loop - bitwise identical to the seed implementation and free
-/// of the per-destination grouping cost.
 /// Destination-grouped parallel execution of the deterministic reduction:
 /// contributions are bucketed per destination (stable counting sort keeps
 /// issue order within a destination), and the destinations split across
@@ -254,6 +295,7 @@ void accumulate_deterministic_pooled(Tensor<T>& out,
   for (std::size_t d = 0; d < numel; ++d) {
     if (offsets[d + 1] > offsets[d]) destinations.push_back(d);
   }
+  const std::span<T> o = out.data();
   fp::visit_reduction<T>(
       ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
         using A = typename decltype(acc_c)::type;
@@ -269,32 +311,35 @@ void accumulate_deterministic_pooled(Tensor<T>& out,
                     // The classic in-place fold, not a +0.0-seeded
                     // accumulator: preserves the serial path's signed-zero
                     // bits ((-0.0) + (-0.0) stays -0.0).
-                    T value = out.flat(static_cast<std::int64_t>(d));
+                    T value = o[d];
                     for (std::size_t g = offsets[d]; g < offsets[d + 1];
                          ++g) {
                       value = static_cast<T>(value +
                                              value_of(contribs[grouped[g]]));
                     }
-                    out.flat(static_cast<std::int64_t>(d)) = value;
+                    o[d] = value;
                     continue;
                   }
                 }
                 Acc acc;
-                if (seed_self) {
-                  acc.add(static_cast<A>(
-                      quantize(out.flat(static_cast<std::int64_t>(d)))));
-                }
+                if (seed_self) acc.add(static_cast<A>(quantize(o[d])));
                 for (std::size_t g = offsets[d]; g < offsets[d + 1]; ++g) {
                   acc.add(static_cast<A>(
                       quantize(value_of(contribs[grouped[g]]))));
                 }
-                out.flat(static_cast<std::int64_t>(d)) =
-                    static_cast<T>(acc.result());
+                o[d] = static_cast<T>(acc.result());
               }
             });
       });
 }
 
+/// Deterministic accumulation of `contribs` into `out` through the
+/// context's registry-selected accumulator: per destination, the self
+/// value seeds the accumulator (unless `seed_self` is false, the
+/// scatter_reduce include_self=false case), then contributions fold in
+/// issue order. The serial algorithm is special-cased to the classic
+/// in-place loop - bitwise identical to the seed implementation and free
+/// of the per-destination grouping cost.
 template <typename T, typename ValueOf>
 void accumulate_deterministic(Tensor<T>& out,
                               const std::vector<Contribution>& contribs,
@@ -304,6 +349,7 @@ void accumulate_deterministic(Tensor<T>& out,
     accumulate_deterministic_pooled(out, contribs, ctx, seed_self, value_of);
     return;
   }
+  const std::span<T> o = out.data();
   fp::visit_reduction<T>(
       ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
         using A = typename decltype(acc_c)::type;
@@ -312,7 +358,8 @@ void accumulate_deterministic(Tensor<T>& out,
                       decltype(quantize)::is_identity) {
           if (seed_self) {
             for (const auto& c : contribs) {
-              out.flat(c.dst) = static_cast<T>(out.flat(c.dst) + value_of(c));
+              const auto d = static_cast<std::size_t>(c.dst);
+              o[d] = static_cast<T>(o[d] + value_of(c));
             }
             return;
           }
@@ -322,12 +369,13 @@ void accumulate_deterministic(Tensor<T>& out,
         for (const auto& c : contribs) {
           auto [it, inserted] = per_destination.try_emplace(c.dst);
           if (inserted && seed_self) {
-            it->second.add(static_cast<A>(quantize(out.flat(c.dst))));
+            it->second.add(static_cast<A>(
+                quantize(o[static_cast<std::size_t>(c.dst)])));
           }
           it->second.add(static_cast<A>(quantize(value_of(c))));
         }
         for (const auto& [dst, acc] : per_destination) {
-          out.flat(dst) = static_cast<T>(acc.result());
+          o[static_cast<std::size_t>(dst)] = static_cast<T>(acc.result());
         }
       });
 }
@@ -339,24 +387,12 @@ template <typename T>
 void divide_mean_destinations(Tensor<T>& out,
                               const std::vector<std::int64_t>& counts,
                               bool include_self) {
-  for (std::int64_t f = 0; f < out.numel(); ++f) {
-    const std::int64_t count = counts[static_cast<std::size_t>(f)];
-    if (count == 0) continue;
-    const auto denom = static_cast<T>(count + (include_self ? 1 : 0));
-    out.flat(f) = static_cast<T>(out.flat(f) / denom);
+  const std::span<T> o = out.data();
+  for (std::size_t f = 0; f < o.size(); ++f) {
+    if (counts[f] == 0) continue;
+    const auto denom = static_cast<T>(counts[f] + (include_self ? 1 : 0));
+    o[f] = static_cast<T>(o[f] / denom);
   }
-}
-
-template <typename T>
-T reduce_identity(Reduce reduce) {
-  switch (reduce) {
-    case Reduce::kSum: return T{0};
-    case Reduce::kMean: return T{0};
-    case Reduce::kProd: return T{1};
-    case Reduce::kAmax: return std::numeric_limits<T>::lowest();
-    case Reduce::kAmin: return std::numeric_limits<T>::max();
-  }
-  return T{0};
 }
 
 /// Whole-tensor result fingerprint (read-only; emitted from the calling
@@ -364,7 +400,7 @@ T reduce_identity(Reduce reduce) {
 template <typename T>
 std::uint64_t tensor_bits(const Tensor<T>& t) {
   obs::Fingerprint print;
-  for (std::int64_t i = 0; i < t.numel(); ++i) print.feed(t.flat(i));
+  print.feed(t.data());
   return print.value();
 }
 
@@ -392,6 +428,9 @@ Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
   Tensor<T> out = self;
   const auto contribs =
       slice_contributions(out, dim, index, source, "index_add");
+  // Shapes are checked above, so the loops below index raw storage.
+  const std::span<T> o = out.data();
+  const std::span<const T> s = source.data();
   if (ctx.recorder != nullptr) {
     span.arg("contributions", static_cast<std::uint64_t>(contribs.size()));
     span.arg("numel", static_cast<std::int64_t>(out.numel()));
@@ -403,19 +442,20 @@ Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
     // accumulator, contributions in issue order.
     accumulate_deterministic(out, contribs, ctx, /*seed_self=*/true,
                              [&](const Contribution& c) {
-                               return static_cast<T>(alpha *
-                                                     source.flat(c.src));
+                               return static_cast<T>(
+                                   alpha * s[static_cast<std::size_t>(c.src)]);
                              });
   } else {
     // Atomic adds commit in scheduler order; each add is out[dst] += a*src,
     // evaluated in T precision exactly as the device would (hardware
     // atomics are plain serial adds, so the accumulator selection does not
     // apply).
-    for (const std::size_t i : commit_order(contribs, out.numel(), ctx)) {
-      const auto& c = contribs[i];
-      out.flat(c.dst) =
-          static_cast<T>(out.flat(c.dst) + alpha * source.flat(c.src));
-    }
+    for_each_commit(contribs, out.numel(), ctx, /*is_store=*/false,
+                    [&](const Contribution& c) {
+                      const auto d = static_cast<std::size_t>(c.dst);
+                      o[d] = static_cast<T>(
+                          o[d] + alpha * s[static_cast<std::size_t>(c.src)]);
+                    });
   }
   if (ctx.recorder != nullptr) {
     ctx.recorder->provenance({"tensor.index_add", "result", dim, -1,
@@ -436,11 +476,13 @@ Tensor<T> index_copy(const Tensor<T>& self, std::int64_t dim,
       slice_contributions(out, dim, index, source, "index_copy");
   // Plain stores: for duplicate destinations the last committed store
   // wins, so the result depends on the order for the ND path.
-  for (const std::size_t i :
-       commit_order(contribs, out.numel(), ctx, /*is_store=*/true)) {
-    const auto& c = contribs[i];
-    out.flat(c.dst) = source.flat(c.src);
-  }
+  const std::span<T> o = out.data();
+  const std::span<const T> s = source.data();
+  for_each_commit(contribs, out.numel(), ctx, /*is_store=*/true,
+                  [&](const Contribution& c) {
+                    o[static_cast<std::size_t>(c.dst)] =
+                        s[static_cast<std::size_t>(c.src)];
+                  });
   return out;
 }
 
@@ -462,11 +504,13 @@ Tensor<T> scatter(const Tensor<T>& self, std::int64_t dim,
   Tensor<T> out = self;
   const auto contribs =
       elementwise_contributions(out, dim, index, src, "scatter");
-  for (const std::size_t i :
-       commit_order(contribs, out.numel(), ctx, /*is_store=*/true)) {
-    const auto& c = contribs[i];
-    out.flat(c.dst) = src.flat(c.src);
-  }
+  const std::span<T> o = out.data();
+  const std::span<const T> s = src.data();
+  for_each_commit(contribs, out.numel(), ctx, /*is_store=*/true,
+                  [&](const Contribution& c) {
+                    o[static_cast<std::size_t>(c.dst)] =
+                        s[static_cast<std::size_t>(c.src)];
+                  });
   return out;
 }
 
@@ -480,6 +524,8 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
   Tensor<T> out = self;
   const auto contribs =
       elementwise_contributions(out, dim, index, src, "scatter_reduce");
+  const std::span<T> o = out.data();
+  const std::span<const T> s = src.data();
   if (ctx.recorder != nullptr) {
     span.arg("contributions", static_cast<std::uint64_t>(contribs.size()));
     span.arg("numel", static_cast<std::int64_t>(out.numel()));
@@ -512,7 +558,7 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
        ctx.reduction_in_effect().lane_blocked())) {
     accumulate_deterministic(out, contribs, ctx, /*seed_self=*/include_self,
                              [&](const Contribution& c) {
-                               return src.flat(c.src);
+                               return s[static_cast<std::size_t>(c.src)];
                              });
     if (reduce == Reduce::kMean) {
       std::vector<std::int64_t> counts(static_cast<std::size_t>(out.numel()),
@@ -532,18 +578,19 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
     counts.assign(static_cast<std::size_t>(out.numel()), 0);
   }
 
-  for (const std::size_t i : commit_order(contribs, out.numel(), ctx)) {
-    const auto& c = contribs[i];
-    const auto d = static_cast<std::size_t>(c.dst);
-    const T value = src.flat(c.src);
-    if (!touched[d] && !include_self) {
-      out.flat(c.dst) = value;  // first commit replaces the self value
-    } else {
-      out.flat(c.dst) = reduce_combine(reduce, out.flat(c.dst), value);
-    }
-    touched[d] = 1;
-    if (reduce == Reduce::kMean) ++counts[d];
-  }
+  for_each_commit(
+      contribs, out.numel(), ctx, /*is_store=*/false,
+      [&](const Contribution& c) {
+        const auto d = static_cast<std::size_t>(c.dst);
+        const T value = s[static_cast<std::size_t>(c.src)];
+        if (!touched[d] && !include_self) {
+          o[d] = value;  // first commit replaces the self value
+        } else {
+          o[d] = reduce_combine(reduce, o[d], value);
+        }
+        touched[d] = 1;
+        if (reduce == Reduce::kMean) ++counts[d];
+      });
 
   // touched[d] implies counts[d] > 0 under kMean, so the shared epilogue
   // divides exactly the touched destinations.

@@ -88,7 +88,23 @@ class UniformInt {
  public:
   UniformInt(std::int64_t lo, std::int64_t hi) noexcept
       : lo_(lo), range_(static_cast<std::uint64_t>(hi - lo) + 1) {}
-  std::int64_t operator()(Xoshiro256pp& rng) const noexcept;
+  // Inline: Fisher-Yates shuffles call this once per element.
+  std::int64_t operator()(Xoshiro256pp& rng) const noexcept {
+    if (range_ == 0) return static_cast<std::int64_t>(rng());
+    // Lemire 2019: multiply-shift with rejection of the biased low region.
+    std::uint64_t x = rng();
+    __uint128_t m = static_cast<__uint128_t>(x) * range_;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < range_) {
+      const std::uint64_t threshold = (0 - range_) % range_;
+      while (low < threshold) {
+        x = rng();
+        m = static_cast<__uint128_t>(x) * range_;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return lo_ + static_cast<std::int64_t>(m >> 64);
+  }
 
  private:
   std::int64_t lo_;

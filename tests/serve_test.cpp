@@ -255,6 +255,36 @@ TEST(InferenceServer, OverloadBurstNeverDropsOrCorrupts) {
   EXPECT_EQ(correct.load(), kProducers * kPerProducer);
 }
 
+TEST(InferenceServer, ConcurrentShutdownClosesAndJoinsOnce) {
+  // Two threads race shutdown() and the destructor calls it a third
+  // time: exactly one call closes admission and joins the batcher, and
+  // every request admitted before the race is still served.
+  const ServeWorld world;
+  const InferenceSession session = world.session(fp::ReductionSpec{});
+  const auto requests = make_requests(world.dataset, 8);
+  ServerConfig config;
+  config.max_batch = 4;
+  InferenceServer server(session, config);
+  std::vector<std::future<InferenceResult>> futures;
+  for (const auto& request : requests) {
+    futures.push_back(server.submit(request));
+  }
+
+  std::atomic<bool> go{false};
+  std::vector<std::thread> closers;
+  for (int t = 0; t < 2; ++t) {
+    closers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      server.shutdown();
+    });
+  }
+  go.store(true);
+  for (auto& closer : closers) closer.join();
+
+  for (auto& future : futures) EXPECT_FALSE(future.get().log_probs.empty());
+  EXPECT_THROW(server.submit(requests[0]), std::runtime_error);
+}
+
 // ----------------------------------------- join-and-rethrow audit ------
 
 TEST(InferenceServer, InjectedRowThrowFailsOnlyOwningRequests) {

@@ -6,11 +6,14 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fpna/core/metrics.hpp"
 #include "fpna/core/run_context.hpp"
 #include "fpna/fp/accumulator.hpp"
+#include "fpna/obs/recorder.hpp"
 #include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
 #include "fpna/tensor/conv_transpose.hpp"
@@ -408,6 +411,205 @@ TEST(ScatterReduce, SumNdVaries) {
                   .bitwise_equal(det);
   }
   EXPECT_TRUE(varies);
+}
+
+// ------------------------------------------------------ ND golden bits --
+//
+// The simulated-ND commit order is a contract: from the run's generator
+// it draws a Fisher-Yates permutation of the n contributions
+// (util::random_permutation), then one util::canonical per destination
+// with >= 2 contributions, in ascending destination order. These
+// fingerprints pin the bits that sequence produces for every indexed op,
+// on both paths, so a rewrite of the simulator or of the contribution-list
+// builders must reproduce them exactly.
+
+template <typename T>
+std::string bits_hex(const Tensor<T>& t) {
+  obs::Fingerprint print;
+  print.feed(t.data());
+  return obs::hex64(print.value());
+}
+
+TensorI reshaped_index(Shape shape, std::int64_t out_size,
+                       util::Xoshiro256pp& rng) {
+  const std::int64_t count = shape_numel(shape);
+  return TensorI::from_data(std::move(shape),
+                            random_index(count, out_size, rng).vec());
+}
+
+std::vector<std::pair<std::string, std::string>> golden_outputs() {
+  std::vector<std::pair<std::string, std::string>> out;
+  const auto record = [&](std::string name, const auto& tensor) {
+    out.emplace_back(std::move(name), bits_hex(tensor));
+  };
+  std::uint64_t run_index = 0;
+  const auto nd = [&](core::RunContext& run) {
+    auto ctx = nd_context(run);
+    ctx.store_race_scale = 1.0;
+    return ctx;
+  };
+
+  for (const double ratio : {0.1, 0.5, 1.0}) {
+    const std::string r = std::to_string(ratio).substr(0, 3);
+    // index_add on dim 0 of the paper's 2-D workload.
+    util::Xoshiro256pp rng(31);
+    const auto w = make_index_add_workload<float>(48, ratio, rng);
+    core::RunContext run2(41, run_index++);
+    record("index_add 2d dim0 R=" + r + " nd",
+           index_add(w.self, 0, w.index, w.source, 1.0f, nd(run2)));
+    record("index_add 2d dim0 R=" + r + " d",
+           index_add(w.self, 0, w.index, w.source));
+
+    // index_add on dim 1 of a 3-D tensor, reusing the workload's index.
+    const std::int64_t out_dim = w.self.size(0);
+    const auto self3 = random_uniform<double>(Shape{3, out_dim, 5}, 0, 1, rng);
+    const auto source3 = random_uniform<double>(Shape{3, 48, 5}, 0, 1, rng);
+    core::RunContext run3(41, run_index++);
+    record("index_add 3d dim1 R=" + r + " nd",
+           index_add(self3, 1, w.index, source3, 0.5, nd(run3)));
+    record("index_add 3d dim1 R=" + r + " d",
+           index_add(self3, 1, w.index, source3, 0.5));
+  }
+
+  {
+    util::Xoshiro256pp rng(32);
+    const auto w = make_index_add_workload<float>(40, 0.5, rng);
+    core::RunContext run(41, run_index++);
+    record("index_copy 2d dim0 nd",
+           index_copy(w.self, 0, w.index, w.source, nd(run)));
+    record("index_copy 2d dim0 d", index_copy(w.self, 0, w.index, w.source));
+  }
+
+  {
+    // src is narrower than self outside dim (4 <= 6 rows).
+    util::Xoshiro256pp rng(33);
+    const auto self = random_uniform<float>(Shape{6, 10}, 0, 1, rng);
+    const auto src = random_uniform<float>(Shape{4, 30}, 0, 1, rng);
+    const auto index = reshaped_index(Shape{4, 30}, 10, rng);
+    core::RunContext run(41, run_index++);
+    record("scatter 2d dim1 nd", scatter(self, 1, index, src, nd(run)));
+    record("scatter 2d dim1 d", scatter(self, 1, index, src));
+  }
+
+  {
+    // src is narrower than self in the inner dim (6 <= 7 columns).
+    util::Xoshiro256pp rng(34);
+    const auto self = random_uniform<float>(Shape{10, 7}, -1, 1, rng);
+    const auto src = random_uniform<float>(Shape{24, 6}, -1, 1, rng);
+    const auto index = reshaped_index(Shape{24, 6}, 10, rng);
+    for (const Reduce reduce : {Reduce::kSum, Reduce::kMean}) {
+      for (const bool include_self : {true, false}) {
+        const std::string name = std::string("scatter_reduce 2d dim0 ") +
+                                 to_string(reduce) +
+                                 (include_self ? " self" : " noself");
+        core::RunContext run(41, run_index++);
+        record(name + " nd", scatter_reduce(self, 0, index, src, reduce,
+                                            include_self, nd(run)));
+        record(name + " d",
+               scatter_reduce(self, 0, index, src, reduce, include_self));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(IndexedOpsGolden, SeededBitsArePinned) {
+  // Captured from the earlier per-destination sort-and-restore
+  // simulator; they must never change.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"index_add 2d dim0 R=0.1 nd", "62253bd0f9858866"},
+      {"index_add 2d dim0 R=0.1 d", "576e0513a00f9afd"},
+      {"index_add 3d dim1 R=0.1 nd", "0709b182328ce308"},
+      {"index_add 3d dim1 R=0.1 d", "ba858fe8eb31f711"},
+      {"index_add 2d dim0 R=0.5 nd", "3569297d0256806a"},
+      {"index_add 2d dim0 R=0.5 d", "e8ba9bc91c0a5b4f"},
+      {"index_add 3d dim1 R=0.5 nd", "82357e5b1d717396"},
+      {"index_add 3d dim1 R=0.5 d", "6f79dfa1a539f0eb"},
+      {"index_add 2d dim0 R=1.0 nd", "f9a3dc0763da7324"},
+      {"index_add 2d dim0 R=1.0 d", "e969c48e5b1c597f"},
+      {"index_add 3d dim1 R=1.0 nd", "95bae6f41a81897e"},
+      {"index_add 3d dim1 R=1.0 d", "6c1077699c9a9020"},
+      {"index_copy 2d dim0 nd", "fe822d71284b01a7"},
+      {"index_copy 2d dim0 d", "49bc311bc9af7ee8"},
+      {"scatter 2d dim1 nd", "9710876f713b9abc"},
+      {"scatter 2d dim1 d", "31479ef36175b4ca"},
+      {"scatter_reduce 2d dim0 sum self nd", "d380ff76641dd302"},
+      {"scatter_reduce 2d dim0 sum self d", "2c7af8f747e66879"},
+      {"scatter_reduce 2d dim0 sum noself nd", "43320ec42f5a35df"},
+      {"scatter_reduce 2d dim0 sum noself d", "6a6ead0178fe510a"},
+      {"scatter_reduce 2d dim0 mean self nd", "796d4bccd5c998f7"},
+      {"scatter_reduce 2d dim0 mean self d", "6fbc81f678031d5b"},
+      {"scatter_reduce 2d dim0 mean noself nd", "3934f040cafd93fd"},
+      {"scatter_reduce 2d dim0 mean noself d", "d073461fa420a9a1"},
+  };
+  const auto actual = golden_outputs();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first);
+    EXPECT_EQ(actual[i].second, expected[i].second) << actual[i].first;
+  }
+}
+
+// What an index-validation failure reports, or "" if the call returns.
+template <typename Call>
+std::string out_of_range_message(Call&& call) {
+  try {
+    call();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(IndexedOpsGolden, OutOfRangeIndexMessagesAreStable) {
+  core::RunContext run(3);
+  for (const OpContext& ctx : {OpContext{}, nd_context(run)}) {
+    const TensorF self(Shape{2, 3, 2});
+    const TensorF source(Shape{2, 4, 2});
+    // The first bad index value in source order is the one reported.
+    const auto index = make_index({1, -2, 7, 0});
+    EXPECT_EQ(out_of_range_message([&] {
+                index_add(self, 1, index, source, 1.0f, ctx);
+              }),
+              "index_add: index value -2 out of range [0, 3)");
+    EXPECT_EQ(out_of_range_message(
+                  [&] { index_copy(self, 1, index, source, ctx); }),
+              "index_copy: index value -2 out of range [0, 3)");
+
+    const TensorF small(Shape{2, 2});
+    const auto elementwise = TensorI::from_data(Shape{2, 2}, {0, 1, 4, 2});
+    const TensorF flat_self(Shape{3, 2});
+    EXPECT_EQ(out_of_range_message([&] {
+                scatter(flat_self, 0, elementwise, small, ctx);
+              }),
+              "scatter: index value 4 out of range [0, 3)");
+    EXPECT_EQ(out_of_range_message([&] {
+                scatter_reduce(flat_self, 0, elementwise, small,
+                               Reduce::kSum, true, ctx);
+              }),
+              "scatter_reduce: index value 4 out of range [0, 3)");
+  }
+}
+
+TEST(IndexedOpsGolden, EmptySourceNeverValidatesIndex) {
+  // A zero-sized dim outside `dim` empties the source while the index
+  // still holds values: nothing is committed, so nothing is validated.
+  core::RunContext run(4);
+  for (const OpContext& ctx : {OpContext{}, nd_context(run)}) {
+    const auto bad = make_index({5, -1});
+    const TensorF no_rows(Shape{0, 3});
+    const TensorF no_rows_source(Shape{0, 2});
+    EXPECT_TRUE(index_add(no_rows, 1, bad, no_rows_source, 1.0f, ctx)
+                    .bitwise_equal(no_rows));
+    EXPECT_TRUE(index_copy(no_rows, 1, bad, no_rows_source, ctx)
+                    .bitwise_equal(no_rows));
+    const TensorF no_cols(Shape{3, 0});
+    const TensorF no_cols_source(Shape{2, 0});
+    EXPECT_TRUE(index_add(no_cols, 0, bad, no_cols_source, 1.0f, ctx)
+                    .bitwise_equal(no_cols));
+    EXPECT_TRUE(index_copy(no_cols, 0, bad, no_cols_source, ctx)
+                    .bitwise_equal(no_cols));
+  }
 }
 
 // -------------------------------------------------------------- cumsum --
