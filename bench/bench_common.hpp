@@ -1,16 +1,14 @@
 #pragma once
 // Shared helpers for the experiment harnesses: seeded data generation,
 // the standard CLI contract (--runs, --size, --seed, --full, --csv,
-// --json=<path>, --trace=<path>, --provenance=<path>), bit-pattern
-// fingerprints and the machine-readable JSON emitter behind the CI
-// determinism gate.
+// --json=<path>, --trace=<path>, --provenance=<path>) and the
+// machine-readable JSON emitter behind the CI determinism gate. Bit
+// columns are obs::Fingerprint values printed with obs::hex64.
 
-#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,43 +37,6 @@ inline std::vector<double> normal_array(std::size_t n, double mean,
   for (auto& x : v) x = dist(rng);
   return v;
 }
-
-// ------------------------------------------------ bit fingerprints -------
-
-/// FNV-1a 64-bit over a stream of words: two buffers share a fingerprint
-/// iff (modulo a hash collision) they share every bit - the "bits" column
-/// the CI determinism gate diffs across two bench runs.
-class BitFingerprint {
- public:
-  void feed(std::uint64_t word) noexcept {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xffu;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void feed(double x) noexcept { feed(std::bit_cast<std::uint64_t>(x)); }
-  void feed(float x) noexcept {
-    feed(static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(x)));
-  }
-  template <typename T>
-  void feed(std::span<const T> values) noexcept {
-    for (const T v : values) feed(v);
-  }
-  std::uint64_t value() const noexcept { return hash_; }
-
-  /// Fixed-width hex, the form the JSON/table columns carry.
-  std::string hex() const {
-    static const char* digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 0; i < 16; ++i) {
-      out[static_cast<std::size_t>(15 - i)] = digits[(hash_ >> (4 * i)) & 0xf];
-    }
-    return out;
-  }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;  // FNV offset basis
-};
 
 // ------------------------------------------------------ JSON emitter -----
 

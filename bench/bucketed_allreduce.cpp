@@ -87,11 +87,11 @@ bool bitwise_equal(const comm::TensorList<double>& a,
 }
 
 std::string fingerprint(const comm::TensorList<double>& tensors) {
-  bench::BitFingerprint fp;
+  obs::Fingerprint fp;
   for (const auto& tensor : tensors) {
     fp.feed(std::span<const double>(tensor));
   }
-  return fp.hex();
+  return obs::hex64(fp.value());
 }
 
 /// Backward-overlapped bucket firing over per-rank tensor lists: tensors

@@ -83,9 +83,9 @@ void distributed_sum_variability(std::size_t size, std::size_t runs,
 // ---------------------------------------------------------------- part 2
 
 std::string weights_fingerprint(const std::vector<double>& weights) {
-  bench::BitFingerprint fp;
+  obs::Fingerprint fp;
   fp.feed(std::span<const double>(weights));
-  return fp.hex();
+  return obs::hex64(fp.value());
 }
 
 void data_parallel_training(std::size_t ranks, int epochs, std::size_t runs,

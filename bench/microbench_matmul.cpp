@@ -55,9 +55,9 @@ using dl::Matrix;
 namespace {
 
 std::string fingerprint(const Matrix& m) {
-  bench::BitFingerprint fp;
+  obs::Fingerprint fp;
   fp.feed(std::span<const float>(m.data()));
-  return fp.hex();
+  return obs::hex64(fp.value());
 }
 
 std::int64_t max_ulps(const Matrix& a, const Matrix& b) {

@@ -51,9 +51,9 @@ using namespace fpna;
 namespace {
 
 std::string bits_of(double x) {
-  bench::BitFingerprint fp;
+  obs::Fingerprint fp;
   fp.feed(x);
-  return fp.hex();
+  return obs::hex64(fp.value());
 }
 
 }  // namespace

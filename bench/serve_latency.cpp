@@ -56,15 +56,6 @@ std::vector<serve::Request> make_requests(const dl::Dataset& dataset,
   return requests;
 }
 
-std::string hex64(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(15 - i)] = digits[(value >> (4 * i)) & 0xf];
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,7 +142,8 @@ int main(int argc, char** argv) {
                util::fixed(result.latency.throughput_rps, 0),
                util::fixed(result.latency.p50_us, 1),
                util::fixed(result.latency.p95_us, 1),
-               util::fixed(result.latency.p99_us, 1), hex64(result.bits),
+               util::fixed(result.latency.p99_us, 1),
+               obs::hex64(result.bits),
                matches ? "yes" : "NO", "yes"});
           if (std::string(spec_text) == "serial" && rate == kRates[1] &&
               threads == thread_counts.back()) {
@@ -228,7 +220,7 @@ int main(int argc, char** argv) {
     const serve::OpenLoopResult traced =
         serve::run_open_loop(server, requests, gaps);
     std::cout << "\ntraced pass: " << traced.latency.completed
-              << " requests, bits " << hex64(traced.bits) << "\n";
+              << " requests, bits " << obs::hex64(traced.bits) << "\n";
     metrics_table = obs_options.metrics_table();
     metrics_table.print(std::cout);
   }

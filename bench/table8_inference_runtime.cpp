@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
   const dl::Matrix a = dl::infer(trained.model, ds, det_ctx);
   const dl::Matrix b = dl::infer(trained.model, ds, det_ctx);
   const bool reproducible = a.bitwise_equal(b);
-  bench::BitFingerprint logits_bits;
+  obs::Fingerprint logits_bits;
   for (std::int64_t i = 0; i < a.numel(); ++i) logits_bits.feed(a.flat(i));
   std::cout << "\ndeterministic inference (" << fp::to_string(spec)
             << ") bitwise reproducible: " << (reproducible ? "yes" : "NO")
-            << "  bits " << logits_bits.hex() << "\n";
+            << "  bits " << obs::hex64(logits_bits.value()) << "\n";
 
   std::size_t nd_identical = 0;
   constexpr std::size_t kNdRuns = 10;
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     util::Table determinism({"accumulator", "dataset", "logits bits",
                              "nd runs equal", "reproducible"});
     determinism.add_row({fp::to_string(spec), full ? "cora" : "small",
-                         logits_bits.hex(),
+                         obs::hex64(logits_bits.value()),
                          std::to_string(nd_identical) + "/" +
                              std::to_string(kNdRuns),
                          reproducible ? "yes" : "NO"});

@@ -51,9 +51,9 @@ using namespace fpna;
 namespace {
 
 std::string fingerprint(const std::vector<double>& weights) {
-  bench::BitFingerprint fp;
+  obs::Fingerprint fp;
   fp.feed(std::span<const double>(weights));
-  return fp.hex();
+  return obs::hex64(fp.value());
 }
 
 /// Max ulp distance between two flattened weight vectors. The model's
@@ -78,7 +78,7 @@ struct Regime {
 bool bitwise_equal(const std::vector<double>& a,
                    const std::vector<double>& b) {
   if (a.size() != b.size()) return false;
-  bench::BitFingerprint fa, fb;
+  obs::Fingerprint fa, fb;
   fa.feed(std::span<const double>(a));
   fb.feed(std::span<const double>(b));
   return fa.value() == fb.value();

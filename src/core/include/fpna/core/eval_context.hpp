@@ -93,14 +93,6 @@ struct EvalContext {
     return accumulator.value_or(fp::ReductionSpec{});
   }
 
-  /// Deprecated shim for the pre-dtype scalar selector: the algorithm
-  /// axis only, dtypes dropped. Prefer reduction_in_effect(); this
-  /// remains for call sites that genuinely only branch on the algorithm
-  /// (e.g. cumsum's binned-accumulator refusal).
-  fp::AlgorithmId accumulator_in_effect() const noexcept {
-    return reduction_in_effect().algorithm;
-  }
-
   /// Whether deterministic implementations are required in this context
   /// (the override beats the global switch).
   bool deterministic_in_effect() const noexcept {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "fpna/dl/graph.hpp"
@@ -34,6 +35,18 @@ using GradientSink = std::function<void(const Matrix* grad)>;
 /// edge list (ND when ctx requests it).
 Matrix mean_aggregate(const Matrix& x, const Graph& graph,
                       const tensor::OpContext& ctx);
+
+/// out[c] = (1/ids.size()) * sum over ids (in list order) of
+/// table[id, c]: one row of mean_aggregate for a node whose in-edge
+/// sources are `ids`, in edge order (the per-request aggregation of the
+/// serving path). Per column the sum seeds with quantize(0.0f) - the
+/// zero destination index_add seeds with - and folds the gathered values
+/// in list order through the spec's accumulator; the mean then
+/// multiplies by the float reciprocal, as mean_aggregate's row scaling
+/// does. An empty id list writes zeros (a degree-0 node). Throws
+/// std::out_of_range on an id outside the table.
+void mean_rows_into(const Matrix& table, std::span<const std::int64_t> ids,
+                    std::span<float> out, const core::EvalContext& ctx = {});
 
 /// Backward of mean_aggregate: dX[u] += dOut[v] / deg(v) over edges
 /// u -> v; itself an index_add with the edge roles swapped.
@@ -100,11 +113,17 @@ class SageConv {
 
 /// Elementwise max(x, 0).
 Matrix relu(const Matrix& x);
+/// In-place max(v, 0) on one row; relu's body.
+void relu_row(std::span<float> row);
 /// dZ = dOut where z > 0, else 0.
 Matrix relu_backward(const Matrix& z, const Matrix& d_out);
 
 /// Row-wise log-softmax (numerically stabilised with the row max).
 Matrix log_softmax_rows(const Matrix& logits);
+/// In-place log-softmax of one row (row max, float exp-sum, subtract the
+/// log-normaliser); log_softmax_rows runs it on every row. Throws
+/// std::invalid_argument on an empty row.
+void log_softmax_row(std::span<float> row);
 
 struct LossResult {
   double loss = 0.0;

@@ -31,6 +31,8 @@
 // inner dimension to extend the paper's Table 1 permuted-sum story to the
 // dense kernels.
 
+#include <span>
+
 #include "fpna/core/eval_context.hpp"
 #include "fpna/tensor/tensor.hpp"
 
@@ -41,6 +43,16 @@ using Matrix = tensor::Tensor<float>;
 /// C = A[m,k] * B[k,n].
 Matrix matmul(const Matrix& a, const Matrix& b,
               const core::EvalContext& ctx = {});
+
+/// out[j] = dot(x, W[:, j]) for j in [0, W.cols): one row of matmul(x, W),
+/// overwriting `out` - the serving path's per-request kernel. It runs
+/// matmul's own row fold (same ascending-p stream, same quantized-x == 0
+/// sparsity skip), quantizing both operands per product instead of
+/// copying the weight, so the row is bitwise matmul's row for every
+/// spec. Composition (bias +=, the float add() between SageConv's self
+/// and neighbour branches) is the caller's job.
+void linear_row(std::span<const float> x, const Matrix& weight,
+                std::span<float> out, const core::EvalContext& ctx = {});
 
 /// C = A^T[m,k] * B[m,n] -> [k,n] (used for weight gradients).
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,

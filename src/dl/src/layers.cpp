@@ -1,6 +1,8 @@
 #include "fpna/dl/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "fpna/fp/accumulator.hpp"
@@ -55,6 +57,48 @@ Matrix mean_aggregate(const Matrix& x, const Graph& graph,
                           1.0f, ctx);
   scale_rows(acc, inverse_degrees(graph), ctx);
   return acc;
+}
+
+void mean_rows_into(const Matrix& table, std::span<const std::int64_t> ids,
+                    std::span<float> out, const core::EvalContext& ctx) {
+  if (table.dim() != 2) {
+    throw std::invalid_argument("mean_rows_into: expected rank-2 table");
+  }
+  const std::int64_t cols = table.size(1);
+  if (static_cast<std::int64_t>(out.size()) != cols) {
+    throw std::invalid_argument("mean_rows_into: output width mismatch");
+  }
+  for (const std::int64_t id : ids) {
+    if (id < 0 || id >= table.size(0)) {
+      throw std::out_of_range("mean_rows_into: row id out of range");
+    }
+  }
+  if (ids.empty()) {
+    // Degree 0: index_add leaves the zero destination untouched and the
+    // row scaling multiplies by the 0.0f sentinel factor.
+    std::fill(out.begin(), out.end(), 0.0f);
+    return;
+  }
+  const float inv_deg = 1.0f / static_cast<float>(ids.size());
+  const std::span<const float> t = table.data();
+  fp::visit_reduction<float>(
+      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
+        using A = typename decltype(acc_c)::type;
+        using Acc = typename decltype(tag)::template accumulator_t<A>;
+        for (std::int64_t c = 0; c < cols; ++c) {
+          // index_add's fold: the zero destination seeds the stream (it
+          // counts as an element - pairwise's block boundaries depend on
+          // it), then the contributions in list order.
+          Acc acc;
+          acc.add(static_cast<A>(quantize(0.0f)));
+          for (const std::int64_t id : ids) {
+            acc.add(static_cast<A>(
+                quantize(t[static_cast<std::size_t>(id * cols + c)])));
+          }
+          out[static_cast<std::size_t>(c)] =
+              static_cast<float>(acc.result()) * inv_deg;
+        }
+      });
 }
 
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,
@@ -144,9 +188,13 @@ void SageConv::zero_grad() {
   lin_neigh.zero_grad();
 }
 
+void relu_row(std::span<float> row) {
+  for (float& v : row) v = v > 0.0f ? v : 0.0f;
+}
+
 Matrix relu(const Matrix& x) {
   Matrix out = x;
-  for (auto& v : out.vec()) v = v > 0.0f ? v : 0.0f;
+  relu_row(out.data());
   return out;
 }
 
@@ -161,23 +209,29 @@ Matrix relu_backward(const Matrix& z, const Matrix& d_out) {
   return d_z;
 }
 
+void log_softmax_row(std::span<float> row) {
+  if (row.empty()) {
+    throw std::invalid_argument("log_softmax_row: empty row");
+  }
+  float row_max = row[0];
+  for (std::size_t c = 1; c < row.size(); ++c) {
+    row_max = std::max(row_max, row[c]);
+  }
+  float sum = 0.0f;
+  for (const float v : row) sum += std::exp(v - row_max);
+  const float log_z = row_max + std::log(sum);
+  for (float& v : row) v -= log_z;
+}
+
 Matrix log_softmax_rows(const Matrix& logits) {
   if (logits.dim() != 2) {
     throw std::invalid_argument("log_softmax_rows: expected rank-2");
   }
   Matrix out = logits;
-  const std::int64_t cols = logits.size(1);
+  const auto cols = static_cast<std::size_t>(logits.size(1));
   for (std::int64_t r = 0; r < logits.size(0); ++r) {
-    float row_max = out.flat(r * cols);
-    for (std::int64_t c = 1; c < cols; ++c) {
-      row_max = std::max(row_max, out.flat(r * cols + c));
-    }
-    float sum = 0.0f;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      sum += std::exp(out.flat(r * cols + c) - row_max);
-    }
-    const float log_z = row_max + std::log(sum);
-    for (std::int64_t c = 0; c < cols; ++c) out.flat(r * cols + c) -= log_z;
+    log_softmax_row(
+        out.data().subspan(static_cast<std::size_t>(r) * cols, cols));
   }
   return out;
 }

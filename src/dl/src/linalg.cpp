@@ -4,7 +4,7 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
+#include <span>
 #include <vector>
 
 #include "fpna/fp/accumulator.hpp"
@@ -59,97 +59,102 @@ void require_rank2(const Matrix& m, const char* name) {
 
 /// The dense kernels' dtype discipline (tensor-core semantics): the
 /// spec's *storage* dtype quantizes the operands - a bf16 x bf16 product
-/// is exact in binary32, so the float multiply below models the MAC units
-/// exactly - and the *accumulate* dtype is where each output element's
-/// contribution stream runs. The native spec (identity quantize, float
-/// accumulate, serial algorithm) keeps the seed's special-cased loops.
-template <typename Acc, typename Quant>
-inline constexpr bool kNativeSerialF32 =
-    std::is_same_v<Acc, fp::SerialAccumulator<float>> && Quant::is_identity;
+/// is exact in binary32, so the float multiply in the folds models the
+/// MAC units exactly - and the *accumulate* dtype is where each output
+/// element's contribution stream runs.
+///
+/// Storage-quantized view of an operand: the operand itself unless the
+/// storage dtype quantizes a float kernel, else a quantized copy made
+/// once per kernel call, so the folds never re-quantize an element they
+/// re-read (matmul reads every b element m times).
+const Matrix& quantized_operand(const fp::ReductionSpec& spec,
+                                const Matrix& m,
+                                std::optional<Matrix>& store) {
+  if (spec.storage != fp::Dtype::kBf16) return m;
+  store.emplace(m);
+  const fp::QuantizeBf16 quantize;
+  for (float& v : store->vec()) v = quantize(v);
+  return *store;
+}
 
-/// Storage-quantized view of an operand matrix: the identity quantizer
-/// aliases the original (zero cost on the native paths); a real
-/// quantizer materialises the quantized copy once per kernel call, so
-/// the hot loops never re-quantize an element they re-read (matmul reads
-/// every b element m times).
-template <typename Quant>
-const Matrix& maybe_quantized(const Matrix& m,
-                              [[maybe_unused]] Quant quantize,
-                              [[maybe_unused]] std::optional<Matrix>& store) {
-  if constexpr (Quant::is_identity) {
-    return m;
-  } else {
-    store.emplace(m);
-    Matrix& q = *store;
-    for (std::int64_t i = 0; i < q.numel(); ++i) {
-      q.flat(i) = quantize(q.flat(i));
+/// visit_reduction over the fold axes only (algorithm, lanes, accumulate
+/// dtype): `f(tag, acc_c)`. The kernels that quantize their operands up
+/// front (quantized_operand) fold with the identity quantizer, so the
+/// storage axis does not multiply their instantiations.
+template <typename F>
+void visit_fold(fp::ReductionSpec spec, const F& f) {
+  spec.storage = fp::Dtype::kNative;
+  fp::visit_reduction<float>(
+      spec, [&](auto tag, auto acc_c, [[maybe_unused]] auto quantize) {
+        if constexpr (decltype(quantize)::is_identity) f(tag, acc_c);
+      });
+}
+
+/// This thread's scratch row of n accumulators, reused across calls: a
+/// row kernel allocates only when a row is wider than any this thread
+/// has folded before.
+template <typename Acc>
+std::span<Acc> scratch_row(std::int64_t n) {
+  thread_local std::vector<Acc> row;
+  const auto size = static_cast<std::size_t>(n);
+  if (row.size() < size) row.resize(size);
+  return {row.data(), size};
+}
+
+/// The one row fold behind matmul, matmul_transpose_a and linear_row:
+/// out[j] = sum over p in [p_begin, p_end) of x[x_first + p * x_stride]
+/// * w[p, j], for the n = row.size() output units of a row-major w with
+/// n columns. Unit j streams its products through row[j] (reset here) in
+/// ascending p, both operands passed through `quantize`, and p is skipped
+/// when the quantized x entry is zero - the sparsity skip every caller
+/// shares. Under the native serial spec (SerialAccumulator<float> from
+/// +0.0f, identity quantizer) this is the classic in-place `c += a * b`
+/// chain, bit for bit.
+template <typename Acc, typename Quant>
+void fold_row(std::span<const float> x, std::int64_t x_first,
+              std::int64_t x_stride, std::span<const float> w,
+              std::int64_t p_begin, std::int64_t p_end, Quant quantize,
+              std::span<Acc> row, std::span<float> out) {
+  using A = typename Acc::value_type;
+  const std::size_t n = row.size();
+  for (Acc& acc : row) acc = Acc{};
+  for (std::int64_t p = p_begin; p < p_end; ++p) {
+    const float av =
+        quantize(x[static_cast<std::size_t>(x_first + p * x_stride)]);
+    if (av == 0.0f) continue;
+    const std::span<const float> wrow =
+        w.subspan(static_cast<std::size_t>(p) * n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j].add(static_cast<A>(av * quantize(wrow[j])));
     }
-    return q;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    out[j] = static_cast<float>(row[j].result());
   }
 }
 
-/// Runtime-spec variant for callers outside a visit_reduction dispatch
-/// (matmul_split_k quantizes once for all its chunks): materialises the
-/// bf16 copy iff the storage dtype actually quantizes a float kernel.
-const Matrix& maybe_quantized_for(const fp::ReductionSpec& spec,
-                                  const Matrix& m,
-                                  std::optional<Matrix>& store) {
-  if (spec.storage != fp::Dtype::kBf16) return m;
-  return maybe_quantized(m, fp::QuantizeBf16{}, store);
-}
-
-/// matmul restricted to inner indices [k_begin, k_end): the building block
-/// of both matmul (full range) and matmul_split_k (one chunk per call).
-/// Row-blocked over the output; per element the contributions fold in
-/// ascending p order through the context's reduction spec, with the
-/// native serial spec special-cased to the classic i-k-j in-place loop
-/// (bitwise identical to the seed implementation, unit-stride loops).
-void matmul_k_range(Matrix& c, const Matrix& a, const Matrix& b,
+/// matmul restricted to inner indices [k_begin, k_end) of already
+/// storage-quantized operands: the building block of both matmul (full
+/// range) and matmul_split_k (one chunk per call). Row-blocked over the
+/// output; each row is one fold_row.
+void matmul_k_range(Matrix& c, const Matrix& qa, const Matrix& qb,
                     std::int64_t k_begin, std::int64_t k_end,
                     const core::EvalContext& ctx) {
-  const std::int64_t m = a.size(0), k = a.size(1), n = b.size(1);
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        std::optional<Matrix> qa_store, qb_store;
-        const Matrix& qa = maybe_quantized(a, quantize, qa_store);
-        const Matrix& qb = maybe_quantized(b, quantize, qb_store);
-        for_each_row_block(ctx, m, (k_end - k_begin) * n,
-                           [&](std::int64_t r0, std::int64_t r1) {
-          if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-            for (std::int64_t i = r0; i < r1; ++i) {
-              for (std::int64_t p = k_begin; p < k_end; ++p) {
-                const float av = a.flat(i * k + p);
-                if (av == 0.0f) continue;
-                const std::int64_t brow = p * n;
-                const std::int64_t crow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  c.flat(crow + j) += av * b.flat(brow + j);
-                }
-              }
-            }
-          } else {
-            std::vector<Acc> row(static_cast<std::size_t>(n));
-            for (std::int64_t i = r0; i < r1; ++i) {
-              for (auto& acc : row) acc = Acc{};
-              for (std::int64_t p = k_begin; p < k_end; ++p) {
-                const float av = qa.flat(i * k + p);
-                if (av == 0.0f) continue;  // same sparsity skip as serial
-                const std::int64_t brow = p * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  row[static_cast<std::size_t>(j)].add(
-                      static_cast<A>(av * qb.flat(brow + j)));
-                }
-              }
-              for (std::int64_t j = 0; j < n; ++j) {
-                c.flat(i * n + j) = static_cast<float>(
-                    row[static_cast<std::size_t>(j)].result());
-              }
-            }
-          }
-        }, "dl.matmul.block");
-      });
+  const std::int64_t m = qa.size(0), k = qa.size(1), n = qb.size(1);
+  const std::span<const float> a = qa.data(), b = qb.data();
+  const std::span<float> out = c.data();
+  visit_fold(ctx.reduction_in_effect(), [&](auto tag, auto acc_c) {
+    using Acc = typename decltype(tag)::template accumulator_t<
+        typename decltype(acc_c)::type>;
+    for_each_row_block(ctx, m, (k_end - k_begin) * n,
+                       [&](std::int64_t r0, std::int64_t r1) {
+      const std::span<Acc> row = scratch_row<Acc>(n);
+      for (std::int64_t i = r0; i < r1; ++i) {
+        fold_row(a, i * k, 1, b, k_begin, k_end, fp::QuantizeNone{}, row,
+                 out.subspan(static_cast<std::size_t>(i * n)));
+      }
+    }, "dl.matmul.block");
+  });
 }
 
 }  // namespace
@@ -173,7 +178,10 @@ Matrix matmul(const Matrix& a, const Matrix& b, const core::EvalContext& ctx) {
           .counter("dl.matmul.flops")
           .add(static_cast<std::uint64_t>(2 * m * k * n));
     }
-    matmul_k_range(c, a, b, 0, k, ctx);
+    std::optional<Matrix> qa_store, qb_store;
+    const fp::ReductionSpec spec = ctx.reduction_in_effect();
+    matmul_k_range(c, quantized_operand(spec, a, qa_store),
+                   quantized_operand(spec, b, qb_store), 0, k, ctx);
   }
   if (ctx.recorder != nullptr) {
     const std::string spec = fp::to_string(ctx.reduction_in_effect());
@@ -193,53 +201,27 @@ Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,
   if (b.size(0) != m) {
     throw std::invalid_argument("matmul_transpose_a: outer mismatch");
   }
-  // Row-blocked over the *output* rows (the k dimension of A): the seed's
-  // i-p-j loop adds row i's contribution to every output row, so the
-  // parallel form re-nests to p-i-j - per element the same ascending-i
-  // stream, now wholly owned by one task.
+  // Row-blocked over the *output* rows (the k dimension of A): output
+  // row p is fold_row over column p of A (stride k) against the rows of
+  // B - per element the ascending-i stream of the i-p-j loop, wholly
+  // owned by one task.
   Matrix c(tensor::Shape{k, n}, 0.0f);
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        std::optional<Matrix> qa_store, qb_store;
-        const Matrix& qa = maybe_quantized(a, quantize, qa_store);
-        const Matrix& qb = maybe_quantized(b, quantize, qb_store);
-        for_each_row_block(ctx, k, m * n,
-                           [&](std::int64_t p0, std::int64_t p1) {
-          if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-            for (std::int64_t p = p0; p < p1; ++p) {
-              const std::int64_t crow = p * n;
-              for (std::int64_t i = 0; i < m; ++i) {
-                const float av = a.flat(i * k + p);
-                if (av == 0.0f) continue;
-                const std::int64_t brow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  c.flat(crow + j) += av * b.flat(brow + j);
-                }
-              }
-            }
-          } else {
-            std::vector<Acc> row(static_cast<std::size_t>(n));
-            for (std::int64_t p = p0; p < p1; ++p) {
-              for (auto& acc : row) acc = Acc{};
-              for (std::int64_t i = 0; i < m; ++i) {
-                const float av = qa.flat(i * k + p);
-                if (av == 0.0f) continue;  // same sparsity skip as serial
-                const std::int64_t brow = i * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                  row[static_cast<std::size_t>(j)].add(
-                      static_cast<A>(av * qb.flat(brow + j)));
-                }
-              }
-              for (std::int64_t j = 0; j < n; ++j) {
-                c.flat(p * n + j) = static_cast<float>(
-                    row[static_cast<std::size_t>(j)].result());
-              }
-            }
-          }
-        }, "dl.matmul_transpose_a.block");
-      });
+  const fp::ReductionSpec spec = ctx.reduction_in_effect();
+  std::optional<Matrix> qa_store, qb_store;
+  const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
+  const std::span<const float> qb = quantized_operand(spec, b, qb_store).data();
+  const std::span<float> out = c.data();
+  visit_fold(spec, [&](auto tag, auto acc_c) {
+    using Acc = typename decltype(tag)::template accumulator_t<
+        typename decltype(acc_c)::type>;
+    for_each_row_block(ctx, k, m * n, [&](std::int64_t p0, std::int64_t p1) {
+      const std::span<Acc> row = scratch_row<Acc>(n);
+      for (std::int64_t p = p0; p < p1; ++p) {
+        fold_row(qa, p, k, qb, 0, m, fp::QuantizeNone{}, row,
+                 out.subspan(static_cast<std::size_t>(p * n)));
+      }
+    }, "dl.matmul_transpose_a.block");
+  });
   return c;
 }
 
@@ -251,39 +233,30 @@ Matrix matmul_transpose_b(const Matrix& a, const Matrix& b,
   if (b.size(1) != k) {
     throw std::invalid_argument("matmul_transpose_b: inner mismatch");
   }
+  // A dot product per element, p ascending, with no sparsity skip.
   Matrix c(tensor::Shape{m, n}, 0.0f);
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        std::optional<Matrix> qa_store, qb_store;
-        const Matrix& qa = maybe_quantized(a, quantize, qa_store);
-        const Matrix& qb = maybe_quantized(b, quantize, qb_store);
-        for_each_row_block(ctx, m, k * n,
-                           [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t i = r0; i < r1; ++i) {
-            const std::int64_t arow = i * k;
-            const std::int64_t crow = i * n;
-            for (std::int64_t j = 0; j < n; ++j) {
-              const std::int64_t brow = j * k;
-              if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-                float acc = 0.0f;
-                for (std::int64_t p = 0; p < k; ++p) {
-                  acc += a.flat(arow + p) * b.flat(brow + p);
-                }
-                c.flat(crow + j) = acc;
-              } else {
-                Acc acc;
-                for (std::int64_t p = 0; p < k; ++p) {
-                  acc.add(static_cast<A>(qa.flat(arow + p) *
-                                         qb.flat(brow + p)));
-                }
-                c.flat(crow + j) = static_cast<float>(acc.result());
-              }
-            }
+  const fp::ReductionSpec spec = ctx.reduction_in_effect();
+  std::optional<Matrix> qa_store, qb_store;
+  const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
+  const std::span<const float> qb = quantized_operand(spec, b, qb_store).data();
+  const std::span<float> out = c.data();
+  visit_fold(spec, [&](auto tag, auto acc_c) {
+    using A = typename decltype(acc_c)::type;
+    using Acc = typename decltype(tag)::template accumulator_t<A>;
+    for_each_row_block(ctx, m, k * n, [&](std::int64_t r0, std::int64_t r1) {
+      for (std::int64_t i = r0; i < r1; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          Acc acc;
+          for (std::int64_t p = 0; p < k; ++p) {
+            acc.add(static_cast<A>(qa[static_cast<std::size_t>(i * k + p)] *
+                                   qb[static_cast<std::size_t>(j * k + p)]));
           }
-        }, "dl.matmul_transpose_b.block");
-      });
+          out[static_cast<std::size_t>(i * n + j)] =
+              static_cast<float>(acc.result());
+        }
+      }
+    }, "dl.matmul_transpose_b.block");
+  });
   return c;
 }
 
@@ -302,19 +275,11 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
       std::min<std::size_t>(splits, static_cast<std::size_t>(
                                         std::max<std::int64_t>(1, k))));
 
-  // Storage quantization is idempotent (a bf16 value re-rounds to
-  // itself), so quantize the operands once here and hand the chunks a
-  // native-storage spec - bitwise identical to quantizing inside every
-  // chunk, without re-copying both matrices per split.
-  core::EvalContext chunk_ctx = ctx;
-  std::optional<Matrix> qa_store, qb_store;
+  // Quantize the operands once for all the chunks.
   const fp::ReductionSpec spec = ctx.reduction_in_effect();
-  if (spec.storage == fp::Dtype::kBf16) {
-    chunk_ctx.accumulator = fp::ReductionSpec{spec.algorithm, fp::Dtype::kNative,
-                                              spec.accumulate, spec.lanes};
-  }
-  const Matrix& aa = maybe_quantized_for(spec, a, qa_store);
-  const Matrix& bb = maybe_quantized_for(spec, b, qb_store);
+  std::optional<Matrix> qa_store, qb_store;
+  const Matrix& qa = quantized_operand(spec, a, qa_store);
+  const Matrix& qb = quantized_operand(spec, b, qb_store);
 
   obs::Span span(ctx.recorder, "dl.matmul_split_k");
   span.arg("m", m);
@@ -336,7 +301,7 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
   for (std::int64_t t = 0; t < s; ++t) {
     const std::int64_t k_end = k_begin + base + (t < rem ? 1 : 0);
     partials.emplace_back(tensor::Shape{m, n}, 0.0f);
-    matmul_k_range(partials.back(), aa, bb, k_begin, k_end, chunk_ctx);
+    matmul_k_range(partials.back(), qa, qb, k_begin, k_end, ctx);
     if (ctx.recorder != nullptr) {
       ctx.recorder->provenance(
           {"dl.matmul_split_k", "partial", t, -1, spec_str,
@@ -427,31 +392,47 @@ Matrix column_sums(const Matrix& a, const core::EvalContext& ctx) {
   require_rank2(a, "column_sums");
   const std::int64_t m = a.size(0), n = a.size(1);
   Matrix out(tensor::Shape{n}, 0.0f);
-  // Column-blocked: the seed's i-j loop folds each column in ascending
-  // row order; re-nesting to j-i keeps every column's stream intact. A
+  // Column-blocked: each column folds its rows in ascending order. A
   // plain reduction, so the storage dtype quantizes the addends (not
   // operand pairs as in the matmuls).
+  const fp::ReductionSpec spec = ctx.reduction_in_effect();
+  std::optional<Matrix> qa_store;
+  const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
+  const std::span<float> sums = out.data();
+  visit_fold(spec, [&](auto tag, auto acc_c) {
+    using A = typename decltype(acc_c)::type;
+    using Acc = typename decltype(tag)::template accumulator_t<A>;
+    for_each_row_block(ctx, n, m, [&](std::int64_t j0, std::int64_t j1) {
+      for (std::int64_t j = j0; j < j1; ++j) {
+        Acc acc;
+        for (std::int64_t i = 0; i < m; ++i) {
+          acc.add(static_cast<A>(qa[static_cast<std::size_t>(i * n + j)]));
+        }
+        sums[static_cast<std::size_t>(j)] = static_cast<float>(acc.result());
+      }
+    });
+  });
+  return out;
+}
+
+void linear_row(std::span<const float> x, const Matrix& weight,
+                std::span<float> out, const core::EvalContext& ctx) {
+  require_rank2(weight, "linear_row(weight)");
+  const std::int64_t k = weight.size(0), n = weight.size(1);
+  if (static_cast<std::int64_t>(x.size()) != k ||
+      static_cast<std::int64_t>(out.size()) != n) {
+    throw std::invalid_argument("linear_row: shape mismatch");
+  }
+  // matmul's fold for one row. The operands are quantized per MAC here
+  // rather than copied: a copy of the weight per request would cost more
+  // than the row.
   fp::visit_reduction<float>(
       ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        for_each_row_block(ctx, n, m, [&](std::int64_t j0, std::int64_t j1) {
-          for (std::int64_t j = j0; j < j1; ++j) {
-            if constexpr (kNativeSerialF32<Acc, decltype(quantize)>) {
-              for (std::int64_t i = 0; i < m; ++i) {
-                out.flat(j) += a.flat(i * n + j);
-              }
-            } else {
-              Acc acc;
-              for (std::int64_t i = 0; i < m; ++i) {
-                acc.add(static_cast<A>(quantize(a.flat(i * n + j))));
-              }
-              out.flat(j) = static_cast<float>(acc.result());
-            }
-          }
-        });
+        using Acc = typename decltype(tag)::template accumulator_t<
+            typename decltype(acc_c)::type>;
+        fold_row(x, 0, 1, weight.data(), 0, k, quantize, scratch_row<Acc>(n),
+                 out);
       });
-  return out;
 }
 
 Matrix gather_rows(const Matrix& x, const std::vector<std::int64_t>& indices,

@@ -39,8 +39,8 @@ namespace fpna::obs {
 
 // ------------------------------------------------- bit fingerprints -----
 
-/// FNV-1a 64-bit over value bit patterns - the same stream definition as
-/// bench::BitFingerprint, so a provenance "bits" field and a bench table
+/// FNV-1a 64-bit over value bit patterns. The bench tables' "bits"
+/// columns use it too, so a provenance "bits" field and a bench table
 /// "bits" cell computed over the same buffer agree exactly.
 class Fingerprint {
  public:

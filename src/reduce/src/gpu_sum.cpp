@@ -93,7 +93,8 @@ double run_single_pass_deterministic(sim::SimDevice& device,
       // Tail through the selected accumulator, fixed index order. The
       // serial case keeps the seed's partials[0]-seeded fold (an empty
       // accumulator's 0.0 + (-0.0) would flip the sign of an all-negative-
-      // zero tail, breaking bitwise compatibility).
+      // zero tail, breaking bitwise compatibility). Kept on purpose, like
+      // cumsum's and index_add's self-seeded native folds.
       result = fp::visit_reduction<double>(
           ctx.reduction_in_effect(),
           [&](auto tag, auto acc_c, auto quantize) -> double {

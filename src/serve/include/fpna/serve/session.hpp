@@ -2,7 +2,8 @@
 // Inference session: a trained GraphSageModel frozen for serving, plus
 // the deployed-graph state a request's forward needs (the feature table
 // and the layer-1 activation cache), evaluated one request-row at a time
-// through dl's row-wise kernels (dl/row_forward.hpp).
+// through dl's row kernels: linear_row (dl/linalg.hpp, matmul's own row
+// fold) and mean_rows_into, relu_row and log_softmax_row (dl/layers.hpp).
 //
 // Serving model. A request carries its own feature row and the ids of
 // its neighbours among the *deployed* nodes (the standard inductive

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "fpna/dl/layers.hpp"
-#include "fpna/dl/row_forward.hpp"
+#include "fpna/dl/linalg.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/thread_pool.hpp"
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "fpna/fp/accumulator.hpp"
@@ -265,98 +264,66 @@ std::vector<Contribution> elementwise_contributions(
   return contribs;
 }
 
-/// Destination-grouped parallel execution of the deterministic reduction:
-/// contributions are bucketed per destination (stable counting sort keeps
-/// issue order within a destination), and the destinations split across
-/// ctx.pool with parallel_for. Each destination's fold is exactly the
-/// stream the serial path produces - seed with self, contributions in
-/// issue order - and destinations never alias, so the result is bitwise
-/// identical to the serial deterministic path for every accumulator and
-/// every thread count / OS schedule, by construction.
-template <typename T, typename ValueOf>
-void accumulate_deterministic_pooled(Tensor<T>& out,
-                                     const std::vector<Contribution>& contribs,
-                                     const OpContext& ctx, bool seed_self,
-                                     const ValueOf& value_of) {
-  const auto numel = static_cast<std::size_t>(out.numel());
-  std::vector<std::size_t> offsets(numel + 1, 0);
-  for (const auto& c : contribs) {
-    ++offsets[static_cast<std::size_t>(c.dst) + 1];
-  }
-  for (std::size_t d = 0; d < numel; ++d) offsets[d + 1] += offsets[d];
-  std::vector<std::size_t> grouped(contribs.size());
-  {
-    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
-    for (std::size_t k = 0; k < contribs.size(); ++k) {
-      grouped[fill[static_cast<std::size_t>(contribs[k].dst)]++] = k;
-    }
-  }
+/// Contributions grouped by destination: a stable counting sort, so
+/// grouped[offsets[d] .. offsets[d + 1]) lists destination d's
+/// contributions in issue order; `destinations` names the touched ones in
+/// ascending order.
+struct DestinationGroups {
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> grouped;
   std::vector<std::size_t> destinations;
-  for (std::size_t d = 0; d < numel; ++d) {
-    if (offsets[d + 1] > offsets[d]) destinations.push_back(d);
+};
+
+DestinationGroups group_by_destination(
+    const std::vector<Contribution>& contribs, std::size_t numel) {
+  DestinationGroups g;
+  g.offsets.assign(numel + 1, 0);
+  for (const auto& c : contribs) {
+    ++g.offsets[static_cast<std::size_t>(c.dst) + 1];
   }
-  const std::span<T> o = out.data();
-  fp::visit_reduction<T>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        ctx.pool->parallel_for(
-            destinations.size(),
-            [&](std::size_t begin, std::size_t end, std::size_t) {
-              for (std::size_t j = begin; j < end; ++j) {
-                const std::size_t d = destinations[j];
-                if constexpr (std::is_same_v<Acc, fp::SerialAccumulator<T>> &&
-                              decltype(quantize)::is_identity) {
-                  if (seed_self) {
-                    // The classic in-place fold, not a +0.0-seeded
-                    // accumulator: preserves the serial path's signed-zero
-                    // bits ((-0.0) + (-0.0) stays -0.0).
-                    T value = o[d];
-                    for (std::size_t g = offsets[d]; g < offsets[d + 1];
-                         ++g) {
-                      value = static_cast<T>(value +
-                                             value_of(contribs[grouped[g]]));
-                    }
-                    o[d] = value;
-                    continue;
-                  }
-                }
-                Acc acc;
-                if (seed_self) acc.add(static_cast<A>(quantize(o[d])));
-                for (std::size_t g = offsets[d]; g < offsets[d + 1]; ++g) {
-                  acc.add(static_cast<A>(
-                      quantize(value_of(contribs[grouped[g]]))));
-                }
-                o[d] = static_cast<T>(acc.result());
-              }
-            });
-      });
+  for (std::size_t d = 0; d < numel; ++d) g.offsets[d + 1] += g.offsets[d];
+  g.grouped.resize(contribs.size());
+  std::vector<std::size_t> fill(g.offsets.begin(), g.offsets.end() - 1);
+  for (std::size_t k = 0; k < contribs.size(); ++k) {
+    g.grouped[fill[static_cast<std::size_t>(contribs[k].dst)]++] = k;
+  }
+  for (std::size_t d = 0; d < numel; ++d) {
+    if (g.offsets[d + 1] > g.offsets[d]) g.destinations.push_back(d);
+  }
+  return g;
 }
 
 /// Deterministic accumulation of `contribs` into `out` through the
 /// context's registry-selected accumulator: per destination, the self
 /// value seeds the accumulator (unless `seed_self` is false, the
 /// scatter_reduce include_self=false case), then contributions fold in
-/// issue order. The serial algorithm is special-cased to the classic
-/// in-place loop - bitwise identical to the seed implementation and free
-/// of the per-destination grouping cost.
+/// issue order. The contributions are grouped by destination and the
+/// destinations folded inline, or split across ctx.pool when there is
+/// one; destinations never alias and each one's stream is fixed by the
+/// grouping, so the pooled result is bitwise the inline one for every
+/// accumulator and thread count, by construction.
+///
+/// The native serial spec with a self seed keeps the classic in-place
+/// fold from the self value rather than a +0.0-seeded accumulator: it
+/// preserves signed-zero bits ((-0.0) + (-0.0) stays -0.0). Without a
+/// pool that fold needs no grouping at all - one pass in issue order.
 template <typename T, typename ValueOf>
 void accumulate_deterministic(Tensor<T>& out,
                               const std::vector<Contribution>& contribs,
                               const OpContext& ctx, bool seed_self,
-                              ValueOf&& value_of) {
-  if (ctx.pool != nullptr && ctx.pool->size() > 1 && contribs.size() > 1) {
-    accumulate_deterministic_pooled(out, contribs, ctx, seed_self, value_of);
-    return;
-  }
+                              const ValueOf& value_of) {
+  const bool pooled =
+      ctx.pool != nullptr && ctx.pool->size() > 1 && contribs.size() > 1;
   const std::span<T> o = out.data();
   fp::visit_reduction<T>(
       ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
         using A = typename decltype(acc_c)::type;
         using Acc = typename decltype(tag)::template accumulator_t<A>;
-        if constexpr (std::is_same_v<Acc, fp::SerialAccumulator<T>> &&
-                      decltype(quantize)::is_identity) {
-          if (seed_self) {
+        constexpr bool in_place =
+            std::is_same_v<Acc, fp::SerialAccumulator<T>> &&
+            decltype(quantize)::is_identity;
+        if constexpr (in_place) {
+          if (seed_self && !pooled) {
             for (const auto& c : contribs) {
               const auto d = static_cast<std::size_t>(c.dst);
               o[d] = static_cast<T>(o[d] + value_of(c));
@@ -364,18 +331,40 @@ void accumulate_deterministic(Tensor<T>& out,
             return;
           }
         }
-        std::unordered_map<std::int64_t, Acc> per_destination;
-        per_destination.reserve(contribs.size());
-        for (const auto& c : contribs) {
-          auto [it, inserted] = per_destination.try_emplace(c.dst);
-          if (inserted && seed_self) {
-            it->second.add(static_cast<A>(
-                quantize(o[static_cast<std::size_t>(c.dst)])));
+        const DestinationGroups g =
+            group_by_destination(contribs, o.size());
+        const auto fold = [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            const std::size_t d = g.destinations[j];
+            if constexpr (in_place) {
+              if (seed_self) {
+                T value = o[d];
+                for (std::size_t k = g.offsets[d]; k < g.offsets[d + 1];
+                     ++k) {
+                  value = static_cast<T>(value +
+                                         value_of(contribs[g.grouped[k]]));
+                }
+                o[d] = value;
+                continue;
+              }
+            }
+            Acc acc;
+            if (seed_self) acc.add(static_cast<A>(quantize(o[d])));
+            for (std::size_t k = g.offsets[d]; k < g.offsets[d + 1]; ++k) {
+              acc.add(static_cast<A>(
+                  quantize(value_of(contribs[g.grouped[k]]))));
+            }
+            o[d] = static_cast<T>(acc.result());
           }
-          it->second.add(static_cast<A>(quantize(value_of(c))));
-        }
-        for (const auto& [dst, acc] : per_destination) {
-          o[static_cast<std::size_t>(dst)] = static_cast<T>(acc.result());
+        };
+        if (pooled) {
+          ctx.pool->parallel_for(
+              g.destinations.size(),
+              [&](std::size_t begin, std::size_t end, std::size_t) {
+                fold(begin, end);
+              });
+        } else {
+          fold(0, g.destinations.size());
         }
       });
 }
@@ -553,7 +542,7 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
   // be silently dropped.
   const bool sum_family = reduce == Reduce::kSum || reduce == Reduce::kMean;
   if (sum_family && !ctx.nondeterministic() &&
-      (ctx.accumulator_in_effect() != fp::AlgorithmId::kSerial ||
+      (ctx.reduction_in_effect().algorithm != fp::AlgorithmId::kSerial ||
        !ctx.reduction_in_effect().native() ||
        ctx.reduction_in_effect().lane_blocked())) {
     accumulate_deterministic(out, contribs, ctx, /*seed_self=*/include_self,

@@ -26,7 +26,10 @@ void scan_line(std::span<T> data, std::int64_t start, std::int64_t stride,
     // accumulator (at the spec's accumulate dtype, over storage-quantized
     // addends), read after every add. The native serial case keeps the
     // classic in-place loop - an empty accumulator's 0.0 seed would flip
-    // the sign of a -0.0 prefix, breaking bitwise compatibility.
+    // the sign of a -0.0 prefix, breaking bitwise compatibility. A native
+    // branch stays only where a stream starts from a value rather than
+    // from +0.0 (this prefix, index_add's self seed, the GPU tail's
+    // partials[0]); the dense kernels' zero-seeded folds need none.
     fp::visit_reduction<T>(
         ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
           using A = typename decltype(acc_c)::type;
@@ -116,7 +119,7 @@ Tensor<T> cumsum(const Tensor<T>& self, std::int64_t dim, const OpContext& ctx,
   // call, which would make the streaming prefix O(length^2). Refuse
   // loudly; the superaccumulator gives the same reproducibility in
   // O(length).
-  if (ctx.accumulator_in_effect() == fp::AlgorithmId::kBinned) {
+  if (ctx.reduction_in_effect().algorithm == fp::AlgorithmId::kBinned) {
     throw std::invalid_argument(
         "cumsum: the binned accumulator cannot stream a prefix scan; "
         "use superaccumulator for a reproducible cumsum");

@@ -323,18 +323,17 @@ TEST(EvalContext, ReductionSpecDefaultsAndShim) {
   const EvalContext ctx;
   EXPECT_FALSE(ctx.accumulator.has_value());
   EXPECT_EQ(ctx.reduction_in_effect(), fp::ReductionSpec{});
-  EXPECT_EQ(ctx.accumulator_in_effect(), fp::AlgorithmId::kSerial);
 
   EvalContext scalar;
   scalar.accumulator = fp::AlgorithmId::kKahan;  // shim: implicit spec
-  EXPECT_EQ(scalar.accumulator_in_effect(), fp::AlgorithmId::kKahan);
+  EXPECT_EQ(scalar.reduction_in_effect().algorithm, fp::AlgorithmId::kKahan);
   EXPECT_TRUE(scalar.reduction_in_effect().native());
 
   const EvalContext mixed = ctx.with_accumulator(fp::ReductionSpec{
       fp::AlgorithmId::kKahan, fp::Dtype::kBf16, fp::Dtype::kF32});
   EXPECT_EQ(mixed.reduction_in_effect().storage, fp::Dtype::kBf16);
   EXPECT_EQ(mixed.reduction_in_effect().accumulate, fp::Dtype::kF32);
-  EXPECT_EQ(mixed.accumulator_in_effect(), fp::AlgorithmId::kKahan);
+  EXPECT_EQ(mixed.reduction_in_effect().algorithm, fp::AlgorithmId::kKahan);
 
   // An explicit kSerial stays distinguishable from "unset" (the TPRC
   // historic-default rule).

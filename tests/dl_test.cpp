@@ -6,6 +6,7 @@
 #include <cmath>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "fpna/fp/reduction_spec.hpp"
 #include "fpna/fp/simd.hpp"
 #include "fpna/obs/recorder.hpp"
+#include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
 #include "fpna/dl/adam.hpp"
 #include "fpna/dl/dataset.hpp"
@@ -382,6 +384,121 @@ TEST(Linalg, SplitKShufflesProduceDistinctBitPatterns) {
         std::vector<float>(shuffled.data().begin(), shuffled.data().end()));
   }
   EXPECT_GE(patterns.size(), 2u);
+}
+
+// ------------------------------------------------------- linalg golden --
+
+// Seeded finite values with exact zeros of both signs mixed in, so the
+// pinned bits cover the sparsity skip and signed-zero handling too.
+Matrix golden_operand(std::int64_t rows, std::int64_t cols,
+                      util::Xoshiro256pp& rng) {
+  const util::UniformReal value(-4.0, 4.0);
+  Matrix m(tensor::Shape{rows, cols}, 0.0f);
+  for (float& v : m.vec()) {
+    const double u = util::canonical(rng);
+    v = u < 0.15 ? 0.0f : u < 0.3 ? -0.0f : static_cast<float>(value(rng));
+  }
+  return m;
+}
+
+std::string bits_hex(std::span<const float> values) {
+  obs::Fingerprint print;
+  print.feed(values);
+  return obs::hex64(print.value());
+}
+
+// Every fold has more nonzero terms than pairwise's 32-element base
+// block, so the pairwise rows pin a different association from the
+// serial ones.
+std::vector<std::pair<std::string, std::string>> linalg_golden_outputs() {
+  std::vector<std::pair<std::string, std::string>> out;
+  util::Xoshiro256pp rng(1414);
+  const std::int64_t m = 64, k = 72, n = 6;
+  const Matrix a = golden_operand(m, k, rng);
+  const Matrix b = golden_operand(k, n, rng);
+  const Matrix c = golden_operand(m, n, rng);
+  const Matrix d = golden_operand(n, k, rng);
+  const std::vector<std::int64_t> ids = {
+      3,  0,  7,  7,  63, 12, 1,  1,  1,  20, 33, 2,  9,  9,
+      30, 4,  18, 5,  6,  27, 8,  10, 41, 13, 14, 55, 16, 17,
+      19, 21, 22, 23, 24, 25, 26, 28, 29, 31, 32, 34};
+  for (const char* name : {"default", "pairwise", "kahan@bf16:f32"}) {
+    const core::EvalContext ctx =
+        std::string(name) == "default"
+            ? core::EvalContext{}
+            : core::EvalContext{}.with_accumulator(
+                  fp::parse_reduction_spec(name));
+    const std::string spec = std::string(" ") + name;
+    const auto record = [&](const std::string& kernel, const Matrix& result) {
+      out.emplace_back(kernel + spec, bits_hex(result.data()));
+    };
+    const Matrix logits = matmul(a, b, ctx);
+    record("matmul", logits);
+    record("matmul_transpose_a", matmul_transpose_a(a, c, ctx));
+    record("matmul_transpose_b", matmul_transpose_b(a, d, ctx));
+    record("column_sums", column_sums(a, ctx));
+    record("matmul_split_k 1", matmul_split_k(a, b, 1, ctx));
+    record("matmul_split_k 3", matmul_split_k(a, b, 3, ctx));
+    const auto row_of = [](auto span, std::int64_t r, std::int64_t width) {
+      return span.subspan(static_cast<std::size_t>(r * width),
+                          static_cast<std::size_t>(width));
+    };
+    Matrix rows(tensor::Shape{m, n}, 0.0f);
+    for (std::int64_t i = 0; i < m; ++i) {
+      linear_row(row_of(a.data(), i, k), b, row_of(rows.data(), i, n), ctx);
+    }
+    record("linear_row", rows);
+    // All 40 ids, the first 7, none.
+    Matrix means(tensor::Shape{3, k}, 0.0f);
+    const std::span<const std::int64_t> all(ids);
+    for (const std::int64_t r : {0, 1, 2}) {
+      mean_rows_into(a, all.first(r == 0 ? 40 : r == 1 ? 7 : 0),
+                     row_of(means.data(), r, k), ctx);
+    }
+    record("mean_rows_into", means);
+    record("log_softmax_rows", log_softmax_rows(logits));
+  }
+  return out;
+}
+
+TEST(LinalgGolden, SeededBitsArePinned) {
+  // Captured from the kernels with hand-written native-serial loops;
+  // they must never change.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"matmul default", "0fd9ec71fd84fbcc"},
+      {"matmul_transpose_a default", "f907fa52eab7867f"},
+      {"matmul_transpose_b default", "86392f4467626e9e"},
+      {"column_sums default", "589e423002aba99d"},
+      {"matmul_split_k 1 default", "0fd9ec71fd84fbcc"},
+      {"matmul_split_k 3 default", "1e50c390c7393208"},
+      {"linear_row default", "0fd9ec71fd84fbcc"},
+      {"mean_rows_into default", "0b79599f2fa12b52"},
+      {"log_softmax_rows default", "73afe24832053ef6"},
+      {"matmul pairwise", "9b053579fc7cccdc"},
+      {"matmul_transpose_a pairwise", "eec279f9e1ec2846"},
+      {"matmul_transpose_b pairwise", "0d5813598c9b5230"},
+      {"column_sums pairwise", "47a4c3f73da6e45e"},
+      {"matmul_split_k 1 pairwise", "9b053579fc7cccdc"},
+      {"matmul_split_k 3 pairwise", "1e50c390c7393208"},
+      {"linear_row pairwise", "9b053579fc7cccdc"},
+      {"mean_rows_into pairwise", "1dbe5223072256b5"},
+      {"log_softmax_rows pairwise", "2dcaa82279df16b3"},
+      {"matmul kahan@bf16:f32", "504f2e615c089c2a"},
+      {"matmul_transpose_a kahan@bf16:f32", "3fe8f004221b7d61"},
+      {"matmul_transpose_b kahan@bf16:f32", "22356165dbe056bb"},
+      {"column_sums kahan@bf16:f32", "6f2b01abc21afd5d"},
+      {"matmul_split_k 1 kahan@bf16:f32", "504f2e615c089c2a"},
+      {"matmul_split_k 3 kahan@bf16:f32", "7491272176577704"},
+      {"linear_row kahan@bf16:f32", "504f2e615c089c2a"},
+      {"mean_rows_into kahan@bf16:f32", "f9799e535d027407"},
+      {"log_softmax_rows kahan@bf16:f32", "aa98008f0c133bfe"},
+  };
+  const auto actual = linalg_golden_outputs();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first);
+    EXPECT_EQ(actual[i].second, expected[i].second) << actual[i].first;
+  }
 }
 
 // -------------------------------------------------------------- layers --

@@ -26,7 +26,7 @@
 
 #include "fpna/dl/dataset.hpp"
 #include "fpna/dl/model.hpp"
-#include "fpna/dl/row_forward.hpp"
+#include "fpna/dl/layers.hpp"
 #include "fpna/fp/reduction_spec.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/serve/open_loop.hpp"

@@ -550,6 +550,40 @@ TEST(IndexedOpsGolden, SeededBitsArePinned) {
   }
 }
 
+// The deterministic fold through registry accumulators (grouped by
+// destination, no pool): self-seeded for index_add, unseeded for
+// scatter_reduce with include_self=false.
+TEST(IndexedOpsGolden, RegistryFoldBitsArePinned) {
+  // Captured from the hash-map fold the grouped fold replaced.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"index_add kahan@bf16:f32", "fb1d94702c700422"},
+      {"scatter_reduce noself kahan@bf16:f32", "ee7fb3421449fb4f"},
+      {"index_add pairwise@simd4", "3a7f6b5fc05ff2aa"},
+      {"scatter_reduce noself pairwise@simd4", "e601c159ac61ab37"},
+  };
+  util::Xoshiro256pp rng(35);
+  const auto w = make_index_add_workload<float>(64, 0.1, rng);
+  const auto flat_index =
+      reshaped_index(w.source.shape(), w.self.size(0), rng);
+  std::vector<std::pair<std::string, std::string>> actual;
+  for (const char* name : {"kahan@bf16:f32", "pairwise@simd4"}) {
+    OpContext ctx;
+    ctx.accumulator = fp::parse_reduction_spec(name);
+    actual.emplace_back(std::string("index_add ") + name,
+                        bits_hex(index_add(w.self, 0, w.index, w.source,
+                                           1.0f, ctx)));
+    actual.emplace_back(std::string("scatter_reduce noself ") + name,
+                        bits_hex(scatter_reduce(w.self, 0, flat_index,
+                                                w.source, Reduce::kSum,
+                                                false, ctx)));
+  }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].first, expected[i].first);
+    EXPECT_EQ(actual[i].second, expected[i].second) << actual[i].first;
+  }
+}
+
 // What an index-validation failure reports, or "" if the call returns.
 template <typename Call>
 std::string out_of_range_message(Call&& call) {
