@@ -7,8 +7,7 @@
 // documentation/behaviour gap SIV calls out.
 //
 // Lives in core (not tensor) so that every layer that consults an
-// EvalContext - reduce, collective, tensor, dl - shares the one switch;
-// fpna/tensor/determinism.hpp re-exports these names for existing callers.
+// EvalContext - reduce, collective, tensor, dl - shares the one switch.
 
 #include <stdexcept>
 #include <string>

@@ -18,11 +18,18 @@ namespace {
 void scale_rows(Matrix& m, const std::vector<float>& factors,
                 const core::EvalContext& ctx) {
   const std::int64_t cols = m.size(1);
+  if (static_cast<std::int64_t>(factors.size()) != m.size(0)) {
+    throw std::invalid_argument("scale_rows: shape mismatch");
+  }
+  const std::span<float> values = m.data();
   detail::for_each_row_block(
       ctx, m.size(0), cols, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
           const float f = factors[static_cast<std::size_t>(r)];
-          for (std::int64_t c = 0; c < cols; ++c) m.flat(r * cols + c) *= f;
+          for (float& v : values.subspan(static_cast<std::size_t>(r * cols),
+                                         static_cast<std::size_t>(cols))) {
+            v *= f;
+          }
         }
       });
 }
@@ -203,8 +210,10 @@ Matrix relu_backward(const Matrix& z, const Matrix& d_out) {
     throw std::invalid_argument("relu_backward: shape mismatch");
   }
   Matrix d_z = d_out;
-  for (std::int64_t i = 0; i < d_z.numel(); ++i) {
-    if (z.flat(i) <= 0.0f) d_z.flat(i) = 0.0f;
+  const std::span<const float> pre = z.data();
+  const std::span<float> grad = d_z.data();
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    if (pre[i] <= 0.0f) grad[i] = 0.0f;
   }
   return d_z;
 }
@@ -240,6 +249,9 @@ LossResult nll_loss_masked(const Matrix& log_probs,
                            const std::vector<std::int64_t>& labels,
                            const std::vector<char>& mask,
                            const core::EvalContext& ctx, float grad_scale) {
+  if (log_probs.dim() != 2) {
+    throw std::invalid_argument("nll_loss_masked: expected rank-2");
+  }
   const std::int64_t rows = log_probs.size(0);
   const std::int64_t cols = log_probs.size(1);
   if (static_cast<std::int64_t>(labels.size()) != rows ||
@@ -253,6 +265,8 @@ LossResult nll_loss_masked(const Matrix& log_probs,
 
   LossResult result;
   result.d_logits = Matrix(tensor::Shape{rows, cols}, 0.0f);
+  const std::span<const float> lp = log_probs.data();
+  const std::span<float> d_logits = result.d_logits.data();
   const float inv_count = 1.0f / static_cast<float>(count);
 
   // Gradient pass (accumulator-independent); the masked per-row loss
@@ -266,17 +280,19 @@ LossResult nll_loss_masked(const Matrix& log_probs,
     if (y < 0 || y >= cols) {
       throw std::out_of_range("nll_loss_masked: label out of range");
     }
-    loss_terms.push_back(-static_cast<double>(log_probs.flat(r * cols + y)));
+    const auto row = static_cast<std::size_t>(r * cols);
+    loss_terms.push_back(
+        -static_cast<double>(lp[row + static_cast<std::size_t>(y)]));
     // d(logits) of mean-NLL(log_softmax): (softmax - onehot) / count. The
     // loss scale multiplies last, as its own rounding: a power-of-two
     // grad_scale shifts the exponent without touching the mantissa, so
     // the scaled gradient is exactly 2^k times the unscaled one, and
     // grad_scale == 1 is a bitwise no-op on this line.
     for (std::int64_t c = 0; c < cols; ++c) {
-      const float softmax = std::exp(log_probs.flat(r * cols + c));
+      const auto at = row + static_cast<std::size_t>(c);
+      const float softmax = std::exp(lp[at]);
       const float onehot = c == y ? 1.0f : 0.0f;
-      result.d_logits.flat(r * cols + c) =
-          ((softmax - onehot) * inv_count) * grad_scale;
+      d_logits[at] = ((softmax - onehot) * inv_count) * grad_scale;
     }
   }
   const double loss = fp::reduce(ctx.reduction_in_effect(),
@@ -292,14 +308,18 @@ LossResult nll_loss_masked(const Matrix& log_probs,
 }
 
 std::vector<std::int64_t> argmax_rows(const Matrix& scores) {
-  const std::int64_t cols = scores.size(1);
+  if (scores.dim() != 2) {
+    throw std::invalid_argument("argmax_rows: expected rank-2");
+  }
+  const auto cols = static_cast<std::size_t>(scores.size(1));
   std::vector<std::int64_t> out(static_cast<std::size_t>(scores.size(0)), 0);
-  for (std::int64_t r = 0; r < scores.size(0); ++r) {
-    std::int64_t best = 0;
-    for (std::int64_t c = 1; c < cols; ++c) {
-      if (scores.flat(r * cols + c) > scores.flat(r * cols + best)) best = c;
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    const std::span<const float> row = scores.data().subspan(r * cols, cols);
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = c;
     }
-    out[static_cast<std::size_t>(r)] = best;
+    out[r] = static_cast<std::int64_t>(best);
   }
   return out;
 }

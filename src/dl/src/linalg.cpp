@@ -324,13 +324,15 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
   // The first partial is copied (so splits == 1 is bitwise matmul); the
   // rest fold in with plain float adds - the re-association under study.
   Matrix c = partials[order[0]];
+  const std::span<float> sum = c.data();
   if (ctx.recorder == nullptr) {
     for_each_row_block(ctx, m, (s - 1) * n, [&](std::int64_t r0,
                                                 std::int64_t r1) {
       for (std::size_t t = 1; t < order.size(); ++t) {
-        const Matrix& part = partials[order[t]];
-        for (std::int64_t i = r0 * n; i < r1 * n; ++i) {
-          c.flat(i) += part.flat(i);
+        const std::span<const float> part = partials[order[t]].data();
+        for (auto i = static_cast<std::size_t>(r0 * n);
+             i < static_cast<std::size_t>(r1 * n); ++i) {
+          sum[i] += part[i];
         }
       }
     });
@@ -350,10 +352,11 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
                             row_range_bits(c, 0, m),
                             static_cast<std::uint64_t>(c.numel())});
   for (std::size_t t = 1; t < order.size(); ++t) {
-    const Matrix& part = partials[order[t]];
+    const std::span<const float> part = partials[order[t]].data();
     for_each_row_block(ctx, m, n, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t i = r0 * n; i < r1 * n; ++i) {
-        c.flat(i) += part.flat(i);
+      for (auto i = static_cast<std::size_t>(r0 * n);
+           i < static_cast<std::size_t>(r1 * n); ++i) {
+        sum[i] += part[i];
       }
     }, "dl.matmul_split_k.combine");
     ctx.recorder->provenance({"dl.matmul_split_k", "combine_step",
@@ -368,8 +371,13 @@ Matrix matmul_split_k(const Matrix& a, const Matrix& b, std::size_t splits,
 Matrix add(const Matrix& a, const Matrix& b, const core::EvalContext& ctx) {
   if (!a.same_shape(b)) throw std::invalid_argument("add: shape mismatch");
   Matrix c = a;
+  const std::span<float> sum = c.data();
+  const std::span<const float> addend = b.data();
   for_each_row_block(ctx, c.numel(), 1, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) c.flat(i) += b.flat(i);
+    for (auto i = static_cast<std::size_t>(i0);
+         i < static_cast<std::size_t>(i1); ++i) {
+      sum[i] += addend[i];
+    }
   });
   return c;
 }
@@ -381,9 +389,13 @@ void add_bias_rows(Matrix& a, const Matrix& bias,
   if (bias.numel() != n) {
     throw std::invalid_argument("add_bias_rows: bias length mismatch");
   }
+  const std::span<float> rows = a.data();
+  const std::span<const float> b = bias.data();
   for_each_row_block(ctx, a.size(0), n, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
-      for (std::int64_t j = 0; j < n; ++j) a.flat(i * n + j) += bias.flat(j);
+      const std::span<float> row =
+          rows.subspan(static_cast<std::size_t>(i * n), b.size());
+      for (std::size_t j = 0; j < b.size(); ++j) row[j] += b[j];
     }
   });
 }
@@ -439,19 +451,20 @@ Matrix gather_rows(const Matrix& x, const std::vector<std::int64_t>& indices,
                    const core::EvalContext& ctx) {
   require_rank2(x, "gather_rows");
   const std::int64_t cols = x.size(1);
+  const std::int64_t rows = x.size(0);
   Matrix out(tensor::Shape{static_cast<std::int64_t>(indices.size()), cols},
              0.0f);
+  const std::span<const float> src = x.data();
+  const std::span<float> dst = out.data();
   for_each_row_block(
       ctx, static_cast<std::int64_t>(indices.size()), cols,
       [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t i = r0; i < r1; ++i) {
           const std::int64_t r = indices[static_cast<std::size_t>(i)];
-          if (r < 0 || r >= x.size(0)) {
+          if (r < 0 || r >= rows) {
             throw std::out_of_range("gather_rows: row index out of range");
           }
-          for (std::int64_t j = 0; j < cols; ++j) {
-            out.flat(i * cols + j) = x.flat(r * cols + j);
-          }
+          std::copy_n(src.begin() + r * cols, cols, dst.begin() + i * cols);
         }
       });
   return out;

@@ -1,23 +1,13 @@
 #pragma once
-// Lock-light bounded MPSC admission queue.
+// Bounded MPSC admission queue: a deque behind one mutex.
 //
-// Producers (submit() callers) push onto a Treiber stack with one CAS -
-// no mutex on the hot path - and the single consumer (the batcher)
-// drains the whole stack with one exchange, reversing it into global
-// FIFO order (the stack holds pushes newest-first; reversal restores the
-// linearisation order of the CASes). Capacity is a counting semaphore:
-// a full queue *blocks* producers (backpressure never drops a request).
-//
-// Wakeup is Dekker-style: the consumer publishes consumer_waiting_ with
-// seq_cst, then re-checks the stack before sleeping; producers push
-// first (the CAS is an RMW, seq_cst-ordered against the flag load that
-// follows), then check the flag. Either the producer sees the flag and
-// notifies, or the consumer's re-check sees the node - a missed wakeup
-// would need both loads to miss both stores, which seq_cst forbids. A
-// timed wait backstops the protocol anyway (the batcher has its own
-// max_wait deadline to honour).
+// Producers (submit() callers) append under the lock; a full queue
+// *blocks* them (backpressure never drops a request). The single
+// consumer (the batcher) moves the whole backlog out under one lock, so
+// items leave in global push order. close() sets its flag under the same
+// lock push() tests it under: a push that returned true is drainable
+// after close, and one that returned false never entered.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -30,16 +20,7 @@ namespace fpna::serve {
 template <typename T>
 class MpscQueue {
  public:
-  explicit MpscQueue(std::size_t capacity) : free_slots_(capacity) {}
-
-  ~MpscQueue() {
-    Node* node = head_.exchange(nullptr, std::memory_order_acquire);
-    while (node != nullptr) {
-      Node* next = node->next;
-      delete node;
-      node = next;
-    }
-  }
+  explicit MpscQueue(std::size_t capacity) : capacity_(capacity) {}
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
@@ -48,22 +29,14 @@ class MpscQueue {
   /// having moved from `item` - nothing is ever dropped) iff the queue
   /// was closed before a slot freed up.
   bool push(T&& item) {
-    while (!try_acquire_slot()) {
-      if (closed_.load(std::memory_order_acquire)) return false;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_full_.wait(lock,
+                     [this] { return closed_ || items_.size() < capacity_; });
+      if (closed_) return false;
+      items_.push_back(std::move(item));
     }
-    if (closed_.load(std::memory_order_acquire)) {
-      release_slot();
-      return false;
-    }
-    Node* node = new Node{std::move(item), head_.load(std::memory_order_relaxed)};
-    while (!head_.compare_exchange_weak(node->next, node,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-    }
-    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock(wake_mutex_);
-      wake_cv_.notify_one();
-    }
+    not_empty_.notify_one();
     return true;
   }
 
@@ -71,108 +44,48 @@ class MpscQueue {
   /// order; if nothing is pending, waits up to `wait` for a push (or
   /// close). Returns the number of items appended.
   std::size_t drain(std::deque<T>& out, std::chrono::nanoseconds wait) {
-    Node* grabbed = head_.exchange(nullptr, std::memory_order_acquire);
-    if (grabbed == nullptr && wait.count() > 0 &&
-        !closed_.load(std::memory_order_acquire)) {
-      consumer_waiting_.store(true, std::memory_order_seq_cst);
-      grabbed = head_.exchange(nullptr, std::memory_order_seq_cst);
-      if (grabbed == nullptr) {
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        wake_cv_.wait_for(lock, wait, [this] {
-          return head_.load(std::memory_order_seq_cst) != nullptr ||
-                 closed_.load(std::memory_order_acquire);
-        });
-        lock.unlock();
-        grabbed = head_.exchange(nullptr, std::memory_order_acquire);
-      }
-      consumer_waiting_.store(false, std::memory_order_seq_cst);
-    }
     std::size_t count = 0;
-    // Reverse the LIFO grab into FIFO push order.
-    Node* fifo = nullptr;
-    while (grabbed != nullptr) {
-      Node* next = grabbed->next;
-      grabbed->next = fifo;
-      fifo = grabbed;
-      grabbed = next;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      not_empty_.wait_for(lock, wait,
+                          [this] { return closed_ || !items_.empty(); });
+      count = items_.size();
+      for (T& item : items_) out.push_back(std::move(item));
+      items_.clear();
     }
-    while (fifo != nullptr) {
-      out.push_back(std::move(fifo->item));
-      Node* next = fifo->next;
-      delete fifo;
-      fifo = next;
-      ++count;
-      release_slot();
-    }
+    if (count > 0) not_full_.notify_all();
     return count;
   }
 
   /// Wakes blocked producers (their push returns false) and the
   /// consumer; already-admitted items stay drainable.
   void close() {
-    closed_.store(true, std::memory_order_release);
     {
-      std::lock_guard<std::mutex> lock(wake_mutex_);
-      wake_cv_.notify_one();
+      std::lock_guard<std::mutex> lock(mutex_);
+      closed_ = true;
     }
-    {
-      std::lock_guard<std::mutex> lock(slot_mutex_);
-      slot_cv_.notify_all();
-    }
+    not_full_.notify_all();
+    not_empty_.notify_all();
   }
 
-  bool closed() const noexcept {
-    return closed_.load(std::memory_order_acquire);
+  bool closed() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return closed_;
   }
 
-  /// Producer-visible backlog (admitted, not yet drained). Approximate
-  /// by construction - it races with push/drain - but monotonic within
-  /// one observer.
-  std::size_t approx_size() const noexcept {
-    return approx_size_.load(std::memory_order_relaxed);
+  /// Admitted, not yet drained.
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return items_.size();
   }
 
  private:
-  struct Node {
-    T item;
-    Node* next;
-  };
-
-  bool try_acquire_slot() {
-    std::unique_lock<std::mutex> lock(slot_mutex_);
-    slot_cv_.wait(lock, [this] {
-      return free_slots_ > 0 || closed_.load(std::memory_order_acquire);
-    });
-    if (free_slots_ == 0) return false;  // woken by close()
-    --free_slots_;
-    approx_size_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  void release_slot() {
-    {
-      std::lock_guard<std::mutex> lock(slot_mutex_);
-      ++free_slots_;
-    }
-    approx_size_.fetch_sub(1, std::memory_order_relaxed);
-    slot_cv_.notify_one();
-  }
-
-  std::atomic<Node*> head_{nullptr};
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> consumer_waiting_{false};
-  std::atomic<std::size_t> approx_size_{0};
-
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-
-  // Capacity accounting. This mutex guards only admission *slots* (the
-  // backpressure boundary), never the item hand-off itself: a producer
-  // that finds free capacity takes slot_mutex_ once, uncontended with
-  // the consumer except at the full/empty edges.
-  std::mutex slot_mutex_;
-  std::condition_variable slot_cv_;
-  std::size_t free_slots_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::condition_variable not_full_;
+  std::condition_variable not_empty_;
+  std::deque<T> items_;
+  bool closed_ = false;
 };
 
 }  // namespace fpna::serve

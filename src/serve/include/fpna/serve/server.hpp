@@ -73,11 +73,6 @@ class InferenceServer {
   /// The destructor calls it.
   void shutdown();
 
-  /// Instantaneous admission backlog (approximate by nature).
-  std::size_t approx_queue_depth() const noexcept {
-    return queue_.approx_size();
-  }
-
  private:
   struct Submission {
     Request request;

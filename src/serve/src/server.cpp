@@ -50,15 +50,12 @@ void InferenceServer::batcher_loop() {
     if (staged.empty()) {
       queue_.drain(staged, config_.max_wait);
       if (staged.empty()) {
-        if (queue_.closed()) {
-          // Exit only once no producer still holds an admission slot:
-          // a submit() racing close() either lands (approx_size > 0,
-          // drained next iteration) or aborts (slot released) - either
-          // way no admitted request is ever abandoned.
-          if (queue_.approx_size() == 0) return;
-          std::this_thread::yield();
-        }
-        continue;
+        if (!queue_.closed()) continue;
+        // push() tests the flag under the queue's lock, so nothing is
+        // admitted once closed() reads true: one more drain collects
+        // every request that landed before the close.
+        queue_.drain(staged, std::chrono::nanoseconds(0));
+        if (staged.empty()) return;
       }
     }
     // Dynamic coalescing: dispatch at max_batch, or when the oldest
@@ -125,7 +122,7 @@ void InferenceServer::serve_batch(std::deque<Submission>& staged,
     recorder->metrics().counter("serve.requests").add(count);
     recorder->metrics().counter("serve.batches").increment();
     recorder->metrics().gauge("serve.queue_depth").set(
-        static_cast<double>(queue_.approx_size()));
+        static_cast<double>(queue_.size()));
   }
   staged.erase(staged.begin(),
                staged.begin() + static_cast<std::ptrdiff_t>(count));

@@ -18,6 +18,14 @@ std::uint64_t row_bits(std::span<const float> values) {
   return print.value();
 }
 
+/// z[j] += v[j], j ascending.
+void add_into(std::span<float> z, std::span<const float> v) {
+  if (v.size() != z.size()) {
+    throw std::invalid_argument("row_forward: width mismatch");
+  }
+  for (std::size_t j = 0; j < z.size(); ++j) z[j] += v[j];
+}
+
 }  // namespace
 
 InferenceSession::InferenceSession(const dl::GraphSageModel& model,
@@ -44,19 +52,15 @@ std::vector<float> InferenceSession::row_forward(
   // Layer 1: z1 = x . W1_self + b1 + mean(neigh features) . W1_neigh.
   // Operation order mirrors SageConv::forward exactly: the self matmul's
   // fresh output, bias +=, then the neighbour matmul folded in with the
-  // float add() - each += below is one element of those full-matrix ops.
+  // float add() - each add_into below is one row of those full-matrix ops.
   std::vector<float> neigh1(static_cast<std::size_t>(f));
   dl::mean_rows_into(features_, request.neighbors, neigh1, ctx);
   std::vector<float> z1(static_cast<std::size_t>(h));
   std::vector<float> tmp1(static_cast<std::size_t>(h));
   dl::linear_row(request.features, model_.conv1.lin_self.weight, z1, ctx);
-  for (std::int64_t j = 0; j < h; ++j) {
-    z1[static_cast<std::size_t>(j)] += model_.conv1.lin_self.bias.flat(j);
-  }
+  add_into(z1, model_.conv1.lin_self.bias.data());
   dl::linear_row(neigh1, model_.conv1.lin_neigh.weight, tmp1, ctx);
-  for (std::int64_t j = 0; j < h; ++j) {
-    z1[static_cast<std::size_t>(j)] += tmp1[static_cast<std::size_t>(j)];
-  }
+  add_into(z1, tmp1);
   dl::relu_row(z1);
 
   // Layer 2 over the layer-1 activations: the request's own a1 row is
@@ -66,13 +70,9 @@ std::vector<float> InferenceSession::row_forward(
   std::vector<float> z2(static_cast<std::size_t>(c));
   std::vector<float> tmp2(static_cast<std::size_t>(c));
   dl::linear_row(z1, model_.conv2.lin_self.weight, z2, ctx);
-  for (std::int64_t j = 0; j < c; ++j) {
-    z2[static_cast<std::size_t>(j)] += model_.conv2.lin_self.bias.flat(j);
-  }
+  add_into(z2, model_.conv2.lin_self.bias.data());
   dl::linear_row(neigh2, model_.conv2.lin_neigh.weight, tmp2, ctx);
-  for (std::int64_t j = 0; j < c; ++j) {
-    z2[static_cast<std::size_t>(j)] += tmp2[static_cast<std::size_t>(j)];
-  }
+  add_into(z2, tmp2);
   dl::log_softmax_row(z2);
   return z2;
 }

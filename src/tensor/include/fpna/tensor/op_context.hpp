@@ -11,8 +11,8 @@
 // `accumulator` field selects which registry algorithm deterministic
 // reductions route through.
 
+#include "fpna/core/determinism.hpp"
 #include "fpna/core/eval_context.hpp"
-#include "fpna/tensor/determinism.hpp"
 
 namespace fpna::tensor {
 

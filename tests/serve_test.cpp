@@ -285,6 +285,48 @@ TEST(InferenceServer, ConcurrentShutdownClosesAndJoinsOnce) {
   EXPECT_THROW(server.submit(requests[0]), std::runtime_error);
 }
 
+TEST(InferenceServer, SubmitRacingShutdownLeavesNoFuturePending) {
+  // Submitters race shutdown() through a small queue: every submit()
+  // either throws or returns a future, and once shutdown() has joined
+  // the batcher each returned future already holds its result.
+  const ServeWorld world;
+  const InferenceSession session = world.session(fp::ReductionSpec{});
+  const auto requests = make_requests(world.dataset, 8);
+  constexpr int kRounds = 20, kSubmitters = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    ServerConfig config;
+    config.max_batch = 4;
+    config.max_queue = 4;
+    InferenceServer server(session, config);
+    std::vector<std::vector<std::future<InferenceResult>>> futures(
+        kSubmitters);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t i = 0;; ++i) {
+          try {
+            futures[static_cast<std::size_t>(t)].push_back(
+                server.submit(requests[i % requests.size()]));
+          } catch (const std::runtime_error&) {
+            return;  // admission closed
+          }
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
+    server.shutdown();
+    for (auto& submitter : submitters) submitter.join();
+    for (auto& own : futures) {
+      for (auto& future : own) {
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready)
+            << "round " << round;
+        EXPECT_FALSE(future.get().log_probs.empty());
+      }
+    }
+  }
+}
+
 // ----------------------------------------- join-and-rethrow audit ------
 
 TEST(InferenceServer, InjectedRowThrowFailsOnlyOwningRequests) {

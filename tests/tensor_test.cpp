@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "fpna/core/determinism.hpp"
 #include "fpna/core/metrics.hpp"
 #include "fpna/core/run_context.hpp"
 #include "fpna/fp/accumulator.hpp"
@@ -17,7 +18,6 @@
 #include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
 #include "fpna/tensor/conv_transpose.hpp"
-#include "fpna/tensor/determinism.hpp"
 #include "fpna/tensor/extra_ops.hpp"
 #include "fpna/tensor/indexed_ops.hpp"
 #include "fpna/tensor/scan_ops.hpp"
@@ -84,17 +84,17 @@ TEST(Tensor, ZeroSizedDims) {
 // ------------------------------------------------------- determinism ----
 
 TEST(Determinism, GuardRestores) {
-  EXPECT_FALSE(DeterminismContext::deterministic());
+  EXPECT_FALSE(core::DeterminismContext::deterministic());
   {
-    const DeterminismGuard guard(true);
-    EXPECT_TRUE(DeterminismContext::deterministic());
+    const core::DeterminismGuard guard(true);
+    EXPECT_TRUE(core::DeterminismContext::deterministic());
     {
-      const DeterminismGuard inner(false);
-      EXPECT_FALSE(DeterminismContext::deterministic());
+      const core::DeterminismGuard inner(false);
+      EXPECT_FALSE(core::DeterminismContext::deterministic());
     }
-    EXPECT_TRUE(DeterminismContext::deterministic());
+    EXPECT_TRUE(core::DeterminismContext::deterministic());
   }
-  EXPECT_FALSE(DeterminismContext::deterministic());
+  EXPECT_FALSE(core::DeterminismContext::deterministic());
 }
 
 TEST(Determinism, GlobalSwitchForcesDeterministicPath) {
@@ -104,7 +104,7 @@ TEST(Determinism, GlobalSwitchForcesDeterministicPath) {
   auto w = make_scatter_workload<float>(500, 0.3, rng);
   const auto det = scatter_reduce(w.self, 0, w.index, w.src, Reduce::kSum);
 
-  const DeterminismGuard guard(true);
+  const core::DeterminismGuard guard(true);
   core::RunContext run(1, 0);
   const auto ctx = nd_context(run);
   const auto out = scatter_reduce(w.self, 0, w.index, w.src, Reduce::kSum,
