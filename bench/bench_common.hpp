@@ -11,6 +11,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fpna/obs/recorder.hpp"
@@ -68,8 +69,43 @@ struct NamedTable {
   const util::Table* table = nullptr;
 };
 
+/// The machine a dump was measured on - CPU model, logical cores,
+/// compiler and build type - so a committed snapshot's timing columns
+/// carry their context. Emitted as the dump's "host" object.
+inline std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    const auto start = colon == std::string::npos
+                           ? colon
+                           : line.find_first_not_of(' ', colon + 1);
+    if (line.rfind("model name", 0) == 0 && start != std::string::npos) {
+      cpu = line.substr(start);
+      break;
+    }
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+#ifdef FPNA_BUILD_TYPE
+  const std::string build_type = FPNA_BUILD_TYPE;
+#else
+  const std::string build_type = "unknown";
+#endif
+  return "{\"cpu\": \"" + json_escape(cpu) + "\", \"cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + json_escape(compiler) +
+         "\", \"build_type\": \"" + json_escape(build_type) + "\"}";
+}
+
 /// Writes the bench's tables as one JSON document:
-///   {"bench": <name>, "tables": [{"name", "headers", "rows"}, ...]}
+///   {"bench": <name>, "host": {"cpu", "cores", "compiler", "build_type"},
+///    "tables": [{"name", "headers", "rows"}, ...]}
 /// scripts/bench_json_diff.py compares the bit-pattern columns (headers
 /// containing "bits" or "ulps") of rows whose reproducibility column
 /// ("reproducible" / "run-to-run stable") reads "yes" across two dumps.
@@ -85,7 +121,7 @@ inline void write_json(const std::string& path, const std::string& bench_name,
     out << "]";
   };
   out << "{\n  \"bench\": \"" << json_escape(bench_name)
-      << "\",\n  \"tables\": [";
+      << "\",\n  \"host\": " << host_json() << ",\n  \"tables\": [";
   for (std::size_t t = 0; t < tables.size(); ++t) {
     out << (t == 0 ? "" : ",") << "\n    {\n      \"name\": \""
         << json_escape(tables[t].name) << "\",\n      \"headers\": ";

@@ -4,43 +4,46 @@
 // communication, such as with MPI, leading to more runtime variation").
 //
 // A ProcessGroup is a handle on a P-rank job that can allreduce rank
-// contributions with any of the collective algorithms. Two backends share
-// one surface:
+// contributions with any of the collective algorithms. There is one
+// implementation: a schedule interpreter over a Transport, the narrow
+// seam that only moves bytes between ranks. Two transports come with it:
 //
-//   * SimProcessGroup - plays all P ranks in-process. The caller passes
-//     all P contributions.
-//   * MpiProcessGroup (#ifdef FPNA_HAVE_MPI) - one OS process per rank on
-//     a real cluster. The caller passes its single local contribution.
+//   * SimProcessGroup binds the in-process transport, which plays all P
+//     ranks. The caller passes all P contributions.
+//   * MpiProcessGroup (#ifdef FPNA_HAVE_MPI) binds the MPI transport: one
+//     OS process per rank. The caller passes its single local
+//     contribution.
 //
 // Each group is constructed on a WirePath (see schedule.hpp):
 //
 //   * kAllgather gathers the rank buffers (ordered by rank id) and runs
 //     one shared local combine, so every rank observes bitwise-identical
-//     results and the sim/MPI backends agree bit for bit - semantics
-//     certified at O(n*P) traffic per rank;
-//   * kRing / kButterfly execute an explicit CollectiveSchedule through
-//     the reduce_scatter / allgather shard primitives: point-to-point
-//     messages, O(n) traffic per rank, and per-step combine orders drawn
-//     from the schedule so the bits are *identical to the allgather
-//     backend* for every algorithm and ReductionSpec (certified in
-//     comm_test and under mpirun in CI). The non-schedulable arrival-tree
-//     algorithm always falls back to the allgather combine.
+//     results - semantics certified at O(n*P) traffic per rank;
+//   * kRing / kButterfly interpret an explicit CollectiveSchedule step by
+//     step: point-to-point messages, O(n) traffic per rank, and per-step
+//     combine orders drawn from the schedule, so the bits are *identical
+//     to the allgather wire* for every algorithm and ReductionSpec
+//     (certified in comm_test, over a threaded one-rank-per-participant
+//     transport there, and under mpirun in CI). The non-schedulable
+//     arrival-tree algorithm always falls back to the allgather combine.
 //
 // The reproducible algorithm honours the EvalContext's registry-selected
 // accumulator. On the allgather wire any *exact-merge* algorithm
 // (superaccumulator, binned) may carry the exchange; on a schedule wire
-// the exact state itself travels the messages as fp::Superaccumulator
-// wire words, so only the superaccumulator (bounded serialized state) is
-// accepted there - binned's exact state is its whole input buffer, which
-// has no O(1)-per-element wire form. Selecting a non-exact-merge
-// accumulator for the reproducible path throws on every wire.
+// only the superaccumulator (bounded serialized state) is accepted -
+// binned's exact state is its whole input buffer, which has no
+// O(1)-per-element wire form. A non-exact-merge accumulator throws.
 //
-// Every group keeps a per-rank TrafficLedger (bytes sent/received and
-// message counts, modelled identically for both backends) so the O(n) vs
-// O(n*P) claim is measured, not asserted.
+// Traffic follows one rule for every transport: a message's sent bytes
+// and count are booked on its sender and its received bytes on its
+// receiver, for whichever of the two this process plays - so the O(n) vs
+// O(n*P) claim is measured, and a traced schedule emits the same
+// `comm.wire` provenance per receiver on every transport.
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fpna/collective/allreduce.hpp"
@@ -65,31 +68,78 @@ std::vector<T> exact_elementwise_allreduce(
     const collective::RankDataT<T>& contributions,
     const fp::ReductionSpec& spec);
 
+/// Moves bytes between ranks for the schedule interpreter. A transport
+/// plays the ranks [first_rank(), first_rank() + ranks_played()) of a
+/// size()-rank job; combine order, codecs, traffic and provenance are not
+/// its business.
+class Transport {
+ public:
+  /// Fills the payload of a message this process sends.
+  using Pack = std::function<void(const Message&, std::span<std::byte>)>;
+  /// Hands the payload of a message this process receives to its rank.
+  using Deliver =
+      std::function<void(const Message&, std::span<const std::byte>)>;
+
+  Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
+  virtual ~Transport() = default;
+
+  virtual std::size_t size() const noexcept = 0;
+  virtual std::size_t first_rank() const noexcept = 0;
+  virtual std::size_t ranks_played() const noexcept = 0;
+  /// Backend name for logs/tables ("sim", "mpi", ...).
+  virtual const char* name() const noexcept = 0;
+  /// Whether distinct collectives may run on several threads at once.
+  virtual bool supports_concurrent_calls() const noexcept = 0;
+
+  /// Runs one schedule step (`messages` all share one step): calls `pack`
+  /// for every message this process sends and `deliver`, in vector order,
+  /// for every message it receives. A payload holds msg.range.size()
+  /// elements of `element_bytes` bytes each and is 8-byte aligned.
+  virtual void step(std::span<const Message> messages,
+                    std::size_t element_bytes, const Pack& pack,
+                    const Deliver& deliver) = 0;
+
+  /// The allgather wire: `played` holds this process's rank buffers back
+  /// to back (equal lengths, in elements of `element_bytes` bytes);
+  /// returns every rank's buffer back to back in rank order. Throws
+  /// std::invalid_argument when the ranks' lengths differ.
+  virtual std::vector<std::byte> gather(std::span<const std::byte> played,
+                                        std::size_t element_bytes) = 0;
+};
+
 class ProcessGroup {
  public:
+  /// Binds a transport; throws std::invalid_argument on a null or
+  /// zero-rank one.
+  ProcessGroup(std::unique_ptr<Transport> transport, WirePath wire);
+  ProcessGroup(const ProcessGroup&) = delete;
+  ProcessGroup& operator=(const ProcessGroup&) = delete;
   virtual ~ProcessGroup() = default;
 
   /// World size P.
-  virtual std::size_t size() const noexcept = 0;
-  /// This participant's rank id (0 for the simulated backend, which plays
-  /// every rank).
-  virtual std::size_t rank() const noexcept = 0;
+  std::size_t size() const noexcept { return transport_->size(); }
+  /// This participant's first rank id (0 for the simulated backend, which
+  /// plays every rank).
+  std::size_t rank() const noexcept { return transport_->first_rank(); }
   /// Backend name for logs/tables: "sim" or "mpi".
-  virtual const char* backend() const noexcept = 0;
+  const char* backend() const noexcept { return transport_->name(); }
   /// The message pattern this group's deterministic collectives travel
   /// (a construction-time property).
-  virtual WirePath wire() const noexcept = 0;
+  WirePath wire() const noexcept { return wire_; }
   /// How many rank contributions the caller passes to allreduce(): the
   /// full P for the simulated backend, 1 (the local buffer) for MPI.
-  virtual std::size_t local_contributions() const noexcept = 0;
-  /// Whether allreduce() may be called concurrently from several threads.
-  /// True for the simulated backend (its only shared state, the traffic
-  /// ledger, is mutex-guarded); false for MPI, whose collectives must
-  /// issue in the same order on every rank and whose library thread level
-  /// is not negotiated for concurrent calls - bucketed_allreduce silently
-  /// falls back to the inline schedule (identical bits, see
-  /// bucketed_allreduce.hpp) when this is false.
-  virtual bool supports_concurrent_allreduce() const noexcept = 0;
+  std::size_t local_contributions() const noexcept {
+    return transport_->ranks_played();
+  }
+  /// Whether allreduce() may be called concurrently from several threads:
+  /// true for the simulated backend, false for MPI (collectives must issue
+  /// in the same order on every rank) - bucketed_allreduce then falls back
+  /// to the inline schedule (identical bits, see bucketed_allreduce.hpp).
+  bool supports_concurrent_allreduce() const noexcept {
+    return transport_->supports_concurrent_calls();
+  }
 
   /// Allreduce-sum of the rank contributions; every rank observes the
   /// returned vector. kArrivalTree draws its arrival orders from ctx.run
@@ -99,51 +149,49 @@ class ProcessGroup {
   /// algorithms only); unset selects the superaccumulator exchange.
   /// Deterministic algorithms travel this group's wire(); the bits do not
   /// depend on the wire.
-  virtual std::vector<double> allreduce(
-      const collective::RankData& contributions,
-      collective::Algorithm algorithm, const core::EvalContext& ctx,
-      std::size_t block_elements = 1024) = 0;
-  virtual std::vector<float> allreduce(
-      const collective::RankDataF& contributions,
-      collective::Algorithm algorithm, const core::EvalContext& ctx,
-      std::size_t block_elements = 1024) = 0;
+  std::vector<double> allreduce(const collective::RankData& contributions,
+                                collective::Algorithm algorithm,
+                                const core::EvalContext& ctx,
+                                std::size_t block_elements = 1024);
+  std::vector<float> allreduce(const collective::RankDataF& contributions,
+                               collective::Algorithm algorithm,
+                               const core::EvalContext& ctx,
+                               std::size_t block_elements = 1024);
 
   /// Schedule primitive: runs `schedule`'s reduce-scatter phase. Returns
-  /// a full-length buffer in which every element of a shard this
-  /// participant owns holds its final reduced value - the whole buffer
-  /// for the sim backend (it plays every rank and so owns every shard);
-  /// under MPI only schedule.shards()[rank()] is meaningful until
-  /// allgather() completes the exchange. `algorithm` selects the combine:
+  /// a full-length buffer holding the final values of the shards this
+  /// participant owns (all of them for the sim backend) and zeros
+  /// elsewhere until allgather(). `algorithm` selects the codec:
   /// kRing / kRecursiveDoubling add rounded values in the schedule's
-  /// operand order (and must ride their own schedule - the one whose
-  /// association they reproduce); kReproducible carries serialized
-  /// superaccumulator states over either schedule, quantizing through
-  /// ctx's ReductionSpec.
-  virtual std::vector<double> reduce_scatter(
-      const collective::RankData& contributions,
-      const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-      const core::EvalContext& ctx) = 0;
-  virtual std::vector<float> reduce_scatter(
-      const collective::RankDataF& contributions,
-      const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-      const core::EvalContext& ctx) = 0;
+  /// operand order (and must ride the schedule whose association they
+  /// reproduce); kReproducible carries serialized superaccumulator states
+  /// over either schedule, quantizing through ctx's ReductionSpec.
+  std::vector<double> reduce_scatter(const collective::RankData& contributions,
+                                     const CollectiveSchedule& schedule,
+                                     collective::Algorithm algorithm,
+                                     const core::EvalContext& ctx);
+  std::vector<float> reduce_scatter(const collective::RankDataF& contributions,
+                                    const CollectiveSchedule& schedule,
+                                    collective::Algorithm algorithm,
+                                    const core::EvalContext& ctx);
 
   /// Schedule primitive: runs `schedule`'s allgather (copy) phase on a
   /// reduce_scatter result, completing the allreduce in `buffer`.
-  virtual void allgather(std::vector<double>& buffer,
-                         const CollectiveSchedule& schedule) = 0;
-  virtual void allgather(std::vector<float>& buffer,
-                         const CollectiveSchedule& schedule) = 0;
+  void allgather(std::vector<double>& buffer,
+                 const CollectiveSchedule& schedule);
+  void allgather(std::vector<float>& buffer,
+                 const CollectiveSchedule& schedule);
 
   /// Accumulated wire traffic of rank `r` since construction (or the last
-  /// reset). The sim backend accounts every simulated rank; the MPI
-  /// backend only fills its own rank's row.
-  Traffic traffic(std::size_t r) const { return ledger().of_rank(r); }
-  Traffic total_traffic() const { return ledger().total(); }
-  void reset_traffic() { ledger().reset(); }
+  /// reset). Only the rows of the ranks this process plays fill.
+  Traffic traffic(std::size_t r) const { return ledger_.of_rank(r); }
+  Traffic total_traffic() const { return ledger_.total(); }
+  void reset_traffic() { ledger_.reset(); }
 
- protected:
-  virtual TrafficLedger& ledger() const noexcept = 0;
+ private:
+  std::unique_ptr<Transport> transport_;
+  WirePath wire_;
+  TrafficLedger ledger_;
 };
 
 /// Simulated backend: all P ranks live in this process. Safe to use
@@ -154,46 +202,6 @@ class SimProcessGroup final : public ProcessGroup {
   /// Throws std::invalid_argument on ranks == 0.
   explicit SimProcessGroup(std::size_t ranks,
                            WirePath wire = WirePath::kAllgather);
-
-  std::size_t size() const noexcept override { return ranks_; }
-  std::size_t rank() const noexcept override { return 0; }
-  const char* backend() const noexcept override { return "sim"; }
-  WirePath wire() const noexcept override { return wire_; }
-  std::size_t local_contributions() const noexcept override { return ranks_; }
-  bool supports_concurrent_allreduce() const noexcept override {
-    return true;
-  }
-
-  std::vector<double> allreduce(const collective::RankData& contributions,
-                                collective::Algorithm algorithm,
-                                const core::EvalContext& ctx,
-                                std::size_t block_elements = 1024) override;
-  std::vector<float> allreduce(const collective::RankDataF& contributions,
-                               collective::Algorithm algorithm,
-                               const core::EvalContext& ctx,
-                               std::size_t block_elements = 1024) override;
-
-  std::vector<double> reduce_scatter(const collective::RankData& contributions,
-                                     const CollectiveSchedule& schedule,
-                                     collective::Algorithm algorithm,
-                                     const core::EvalContext& ctx) override;
-  std::vector<float> reduce_scatter(const collective::RankDataF& contributions,
-                                    const CollectiveSchedule& schedule,
-                                    collective::Algorithm algorithm,
-                                    const core::EvalContext& ctx) override;
-
-  void allgather(std::vector<double>& buffer,
-                 const CollectiveSchedule& schedule) override;
-  void allgather(std::vector<float>& buffer,
-                 const CollectiveSchedule& schedule) override;
-
- protected:
-  TrafficLedger& ledger() const noexcept override { return ledger_; }
-
- private:
-  std::size_t ranks_;
-  WirePath wire_;
-  mutable TrafficLedger ledger_;
 };
 
 /// Simulated P-rank group (the default backend everywhere the toolkit does
@@ -209,47 +217,6 @@ std::unique_ptr<ProcessGroup> make_process_group(
 class MpiProcessGroup final : public ProcessGroup {
  public:
   explicit MpiProcessGroup(WirePath wire = WirePath::kAllgather);
-
-  std::size_t size() const noexcept override { return size_; }
-  std::size_t rank() const noexcept override { return rank_; }
-  const char* backend() const noexcept override { return "mpi"; }
-  WirePath wire() const noexcept override { return wire_; }
-  std::size_t local_contributions() const noexcept override { return 1; }
-  bool supports_concurrent_allreduce() const noexcept override {
-    return false;
-  }
-
-  std::vector<double> allreduce(const collective::RankData& contributions,
-                                collective::Algorithm algorithm,
-                                const core::EvalContext& ctx,
-                                std::size_t block_elements = 1024) override;
-  std::vector<float> allreduce(const collective::RankDataF& contributions,
-                               collective::Algorithm algorithm,
-                               const core::EvalContext& ctx,
-                               std::size_t block_elements = 1024) override;
-
-  std::vector<double> reduce_scatter(const collective::RankData& contributions,
-                                     const CollectiveSchedule& schedule,
-                                     collective::Algorithm algorithm,
-                                     const core::EvalContext& ctx) override;
-  std::vector<float> reduce_scatter(const collective::RankDataF& contributions,
-                                    const CollectiveSchedule& schedule,
-                                    collective::Algorithm algorithm,
-                                    const core::EvalContext& ctx) override;
-
-  void allgather(std::vector<double>& buffer,
-                 const CollectiveSchedule& schedule) override;
-  void allgather(std::vector<float>& buffer,
-                 const CollectiveSchedule& schedule) override;
-
- protected:
-  TrafficLedger& ledger() const noexcept override { return ledger_; }
-
- private:
-  std::size_t size_ = 0;
-  std::size_t rank_ = 0;
-  WirePath wire_;
-  mutable TrafficLedger ledger_;
 };
 
 std::unique_ptr<ProcessGroup> make_mpi_process_group(

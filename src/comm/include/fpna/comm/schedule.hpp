@@ -4,12 +4,12 @@
 // combines what, in which order, over the wire* - so instead of letting a
 // backend improvise its message pattern, a schedule names every
 // point-to-point message and every combine (operand order included) up
-// front. Both backends then execute the same plan verbatim:
-//
-//   * SimProcessGroup walks the messages over in-process rank buffers
-//     (certifying the schedule's bits against the allgather backend);
-//   * MpiProcessGroup turns each message into a real MPI_Isend/MPI_Recv
-//     with O(n) traffic per rank instead of the allgather's O(n*P).
+// front. ProcessGroup's one step interpreter carries the plan out a step
+// at a time over a Transport, which only moves the payload bytes: the
+// in-process transport (SimProcessGroup) hands each message from sender
+// to receiver through a scratch buffer, the MPI transport
+// (MpiProcessGroup) sends it with MPI_Isend/MPI_Recv - O(n) traffic per
+// rank either way, against the allgather wire's O(n*P).
 //
 // Two schedules are provided:
 //
@@ -17,7 +17,7 @@
 //                  boundaries) accumulates along the ring starting at rank
 //                  (c+1) % P; per-element association identical to
 //                  collective::allreduce_ring, so the wire path reproduces
-//                  the allgather backend's kRing bits exactly;
+//                  the allgather wire's kRing bits exactly;
 //   * butterfly  - recursive-halving reduce-scatter whose stage order
 //                  (distance 1, 2, 4, ...) and lower-rank-first combine
 //                  operands reproduce collective::allreduce_recursive_
@@ -27,9 +27,9 @@
 // The reproducible (superaccumulator) exchange runs over either schedule:
 // messages then carry fp::Superaccumulator wire words instead of rounded
 // values, merges are exact, and the single final rounding at the shard
-// owner makes the result bitwise identical to the allgather backend's
-// exact path for every ReductionSpec - the schedule choice moves traffic,
-// never bits.
+// owner makes the result bitwise identical to the allgather wire's exact
+// path for every ReductionSpec - the schedule choice moves traffic, never
+// bits.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,8 +43,8 @@
 namespace fpna::comm {
 
 /// Which message pattern a ProcessGroup's deterministic collectives
-/// travel. kAllgather is the PR 2 backend (gather all rank buffers,
-/// combine locally); kRing / kButterfly route through CollectiveSchedule.
+/// travel. kAllgather gathers all rank buffers and combines locally;
+/// kRing / kButterfly route through CollectiveSchedule.
 enum class WirePath {
   kAllgather,
   kRing,
@@ -65,9 +65,10 @@ struct ShardRange {
 };
 
 /// One point-to-point message of the schedule. Messages are ordered by
-/// `step`; the executors may process a step's messages in vector order
+/// `step`; a transport may deliver a step's messages in vector order
 /// because every schedule guarantees that no in-step payload range is
-/// written by an earlier message of the same step.
+/// written by an earlier message of the same step, and that a rank sends
+/// at most one message per step.
 struct Message {
   std::size_t step = 0;
   std::size_t sender = 0;
@@ -103,7 +104,7 @@ class CollectiveSchedule {
   /// O(n) message pattern that reproduces its association), while the
   /// order-invariant kReproducible rides whichever `wire` names. Throws
   /// std::invalid_argument for kArrivalTree / kAllgather (no schedule:
-  /// arrival-order combining has no fixed plan, and the allgather backend
+  /// arrival-order combining has no fixed plan, and the allgather wire
   /// is the non-scheduled path).
   static CollectiveSchedule for_algorithm(collective::Algorithm algorithm,
                                           WirePath wire, std::size_t ranks,
@@ -126,7 +127,7 @@ class CollectiveSchedule {
 
   /// Elements rank `rank` sends across the whole schedule (the traffic
   /// model: multiply by the per-element wire size). O(n) for both
-  /// schedules, vs the allgather backend's (P-1)*n.
+  /// schedules, vs the allgather wire's (P-1)*n.
   std::size_t elements_sent(std::size_t rank) const noexcept;
 
  private:
@@ -157,18 +158,14 @@ struct Traffic {
 /// historic Traffic accessor API. Pass an external obs::Metrics (e.g. a
 /// Recorder's) to surface "comm.traffic.rank<r>.*" in that registry's
 /// snapshot (and hence the bench metrics table); by default the ledger
-/// owns a private registry. Recording is lock-free either way - the old
-/// ledger mutex is gone, so overlapped bucket firings never serialise on
-/// accounting.
+/// owns a private registry. Recording is lock-free either way, so
+/// overlapped bucket firings never serialise on accounting.
 class TrafficLedger {
  public:
   explicit TrafficLedger(std::size_t ranks, obs::Metrics* metrics = nullptr);
 
-  /// One call per message: sender + receiver + message count.
-  void record_message(std::size_t sender, std::size_t receiver,
-                      std::uint64_t bytes);
-  /// Bulk accounting for one rank (an MPI phase, or the modelled
-  /// allgather-backend exchange).
+  /// Books traffic on one rank (one side of a message, or the
+  /// modelled allgather-wire exchange).
   void record_exchange(std::size_t rank, std::uint64_t bytes_sent,
                        std::uint64_t bytes_received, std::uint64_t messages);
 

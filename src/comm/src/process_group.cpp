@@ -1,10 +1,10 @@
 #include "fpna/comm/process_group.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/superaccumulator.hpp"
@@ -51,10 +51,8 @@ template std::vector<float> exact_elementwise_allreduce<float>(
 
 namespace {
 
-/// Shared backend combine of the allgather wire: the simulated group
-/// reduces `contributions` directly; the MPI group calls this on the
-/// allgathered rank buffers, so both backends compute identical bits from
-/// identical inputs.
+/// The allgather wire's combine, run on the gathered rank buffers by
+/// every participant, so all compute identical bits from identical inputs.
 template <typename T>
 std::vector<T> combine(const collective::RankDataT<T>& contributions,
                        collective::Algorithm algorithm,
@@ -67,14 +65,6 @@ std::vector<T> combine(const collective::RankDataT<T>& contributions,
   return collective::allreduce(contributions, algorithm, ctx, block_elements);
 }
 
-/// Deterministic algorithms with a wire schedule route through the
-/// reduce-scatter/allgather primitives; arrival-tree always combines on
-/// the allgather backend (its arrival-order draw has no fixed plan).
-bool use_schedule(WirePath wire, collective::Algorithm algorithm) {
-  return wire != WirePath::kAllgather &&
-         algorithm != collective::Algorithm::kArrivalTree;
-}
-
 void check_schedule(const CollectiveSchedule& schedule, std::size_t ranks,
                     std::size_t elements, collective::Algorithm algorithm) {
   if (schedule.ranks() != ranks || schedule.elements() != elements) {
@@ -83,85 +73,18 @@ void check_schedule(const CollectiveSchedule& schedule, std::size_t ranks,
         std::to_string(schedule.ranks()) + " ranks x " +
         std::to_string(schedule.elements()) + " elements)");
   }
-  switch (algorithm) {
-    case collective::Algorithm::kRing:
-      if (schedule.path() != WirePath::kRing) {
-        throw std::invalid_argument(
-            "reduce_scatter: the ring algorithm's association is only "
-            "reproduced by the ring schedule");
-      }
-      return;
-    case collective::Algorithm::kRecursiveDoubling:
-      if (schedule.path() != WirePath::kButterfly) {
-        throw std::invalid_argument(
-            "reduce_scatter: recursive doubling's association is only "
-            "reproduced by the butterfly schedule");
-      }
-      return;
-    case collective::Algorithm::kReproducible:
-      return;  // order-invariant: any schedule
-    case collective::Algorithm::kArrivalTree:
-      break;
+  // kRing and kRecursiveDoubling must ride the schedule whose association
+  // they reproduce, the order-invariant kReproducible rides any, and
+  // arrival-tree has none (for_algorithm throws).
+  const WirePath own =
+      CollectiveSchedule::for_algorithm(algorithm, schedule.path(), 1, 0)
+          .path();
+  if (schedule.path() != own) {
+    throw std::invalid_argument(
+        std::string("reduce_scatter: ") + collective::to_string(algorithm) +
+        "'s association is only reproduced by the " + to_string(own) +
+        " schedule");
   }
-  throw std::invalid_argument(
-      "reduce_scatter: arrival-tree has no wire schedule");
-}
-
-/// The value-mode (rounded) reduce-scatter executor over in-process rank
-/// buffers: walks the schedule's reduce messages, combining in each
-/// message's operand order, then assembles the final buffer from the
-/// shard owners. The schedules guarantee no in-step payload range is
-/// written by an earlier message of the same step, so plain in-order
-/// execution reproduces the wire semantics exactly.
-template <typename T>
-std::vector<T> sim_value_reduce_scatter(const CollectiveSchedule& schedule,
-                                        const collective::RankDataT<T>& data,
-                                        TrafficLedger& ledger,
-                                        obs::Recorder* recorder) {
-  obs::Span span(recorder, "comm.reduce_scatter.value");
-  span.arg("wire", to_string(schedule.path()));
-  span.arg("elements", static_cast<std::uint64_t>(schedule.elements()));
-  collective::RankDataT<T> buffers = data;
-  const auto& messages = schedule.messages();
-  for (std::size_t m = 0; m < schedule.reduce_message_count(); ++m) {
-    const Message& msg = messages[m];
-    ledger.record_message(msg.sender, msg.receiver,
-                          msg.range.size() * sizeof(T));
-    const auto& src = buffers[msg.sender];
-    auto& dst = buffers[msg.receiver];
-    if (msg.incoming_left) {
-      for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-        dst[i] = static_cast<T>(src[i] + dst[i]);
-      }
-    } else {
-      for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-        dst[i] = static_cast<T>(dst[i] + src[i]);
-      }
-    }
-    if (recorder != nullptr) {
-      // The receiver's freshly combined range: (step, receiver) is a
-      // unique wire coordinate within the reduce phase of any schedule,
-      // and emission happens here on the calling thread in message
-      // order, so provenance is deterministic by construction.
-      obs::Fingerprint print;
-      for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-        print.feed(dst[i]);
-      }
-      recorder->provenance({"comm.wire", "wire_step",
-                            static_cast<std::int64_t>(msg.step),
-                            static_cast<std::int64_t>(msg.receiver),
-                            to_string(schedule.path()), print.value(),
-                            msg.range.size()});
-    }
-  }
-  std::vector<T> result(schedule.elements(), T{0});
-  for (std::size_t r = 0; r < schedule.ranks(); ++r) {
-    const ShardRange shard = schedule.shards()[r];
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-      result[i] = buffers[r][i];
-    }
-  }
-  return result;
 }
 
 /// Resolves the reproducible wire spec: only the superaccumulator's exact
@@ -172,229 +95,386 @@ fp::ReductionSpec wire_reproducible_spec(const core::EvalContext& ctx) {
   const fp::ReductionSpec spec =
       ctx.accumulator.value_or(fp::AlgorithmId::kSuperaccumulator);
   if (spec.algorithm != fp::AlgorithmId::kSuperaccumulator) {
-    if (!fp::traits_of(spec).exact_merge) {
-      throw std::invalid_argument(
-          "reproducible allreduce: accumulator '" +
-          fp::AlgorithmRegistry::instance().at(spec.algorithm).name +
-          "' has no exact merge; choose superaccumulator or binned");
-    }
+    const std::string& name =
+        fp::AlgorithmRegistry::instance().at(spec.algorithm).name;
     throw std::invalid_argument(
-        "reproducible wire exchange: only the superaccumulator's exact "
-        "state has a bounded serialized form; '" +
-        fp::AlgorithmRegistry::instance().at(spec.algorithm).name +
-        "' cannot travel a ring/butterfly schedule (use the allgather "
-        "wire)");
+        fp::traits_of(spec).exact_merge
+            ? "reproducible wire exchange: only the superaccumulator's "
+              "exact state has a bounded serialized form; '" + name +
+                  "' cannot travel a ring/butterfly schedule (use the "
+                  "allgather wire)"
+            : "reproducible allreduce: accumulator '" + name +
+                  "' has no exact merge; choose superaccumulator or binned");
   }
   return spec;
 }
 
-constexpr std::size_t kStateBytes = fp::Superaccumulator::kWireWords * 8;
+/// A transport's 8-byte-aligned payload scratch of `bytes` bytes,
+/// allocated uninitialised (the sender overwrites every byte).
+struct Scratch {
+  explicit Scratch(std::size_t bytes)
+      : words(std::make_unique_for_overwrite<std::uint64_t[]>((bytes + 7) /
+                                                               8)),
+        view(reinterpret_cast<std::byte*>(words.get()), bytes) {}
+  std::unique_ptr<std::uint64_t[]> words;
+  std::span<std::byte> view;
+};
 
-/// State-mode reduce-scatter: every message carries serialized
-/// superaccumulator states (the exact value, not a rounding of it), each
-/// hop merges exactly, and only the shard owner rounds - so the bits are
-/// independent of the schedule and identical to the allgather backend's
-/// exact path. The serialize/deserialize round trip runs even in the
-/// simulation, certifying the wire format itself.
+/// Plays all P ranks: each message is packed into a scratch buffer and
+/// delivered straight from it, in message order. The scratch lives for
+/// one message, so concurrent collectives on bucket-overlap pool threads
+/// share nothing.
+class InProcessTransport final : public Transport {
+ public:
+  explicit InProcessTransport(std::size_t ranks) : ranks_(ranks) {}
+
+  std::size_t size() const noexcept override { return ranks_; }
+  std::size_t first_rank() const noexcept override { return 0; }
+  std::size_t ranks_played() const noexcept override { return ranks_; }
+  const char* name() const noexcept override { return "sim"; }
+  bool supports_concurrent_calls() const noexcept override { return true; }
+
+  void step(std::span<const Message> messages, std::size_t element_bytes,
+            const Pack& pack, const Deliver& deliver) override {
+    for (const Message& msg : messages) {
+      const Scratch payload(msg.range.size() * element_bytes);
+      pack(msg, payload.view);
+      deliver(msg, payload.view);
+    }
+  }
+
+  std::vector<std::byte> gather(std::span<const std::byte> played,
+                                std::size_t) override {
+    return {played.begin(), played.end()};
+  }
+
+ private:
+  std::size_t ranks_;
+};
+
+// ---------------------------------------------------- the interpreter --
+
+bool plays(const Transport& transport, std::size_t rank) {
+  return rank >= transport.first_rank() &&
+         rank - transport.first_rank() < transport.ranks_played();
+}
+
 template <typename T>
-std::vector<T> sim_state_reduce_scatter(const CollectiveSchedule& schedule,
-                                        const collective::RankDataT<T>& data,
-                                        const fp::ReductionSpec& spec,
-                                        TrafficLedger& ledger,
-                                        obs::Recorder* recorder) {
-  obs::Span span(recorder, "comm.reduce_scatter.state");
-  span.arg("wire", to_string(schedule.path()));
-  span.arg("elements", static_cast<std::uint64_t>(schedule.elements()));
-  const std::string spec_str =
+void check_contributions(const Transport& transport,
+                         const collective::RankDataT<T>& contributions,
+                         const char* op) {
+  if (contributions.size() != transport.ranks_played()) {
+    throw std::invalid_argument(
+        std::string("ProcessGroup::") + op + ": pass one contribution per " +
+        "rank this process plays (" +
+        std::to_string(transport.ranks_played()) + ")");
+  }
+  collective::validate(contributions);
+}
+
+/// The step interpreter: walks messages [begin, end) of `schedule` one
+/// step at a time through the transport and books each message's traffic
+/// on the ranks this process plays.
+void run_messages(Transport& transport, TrafficLedger& ledger,
+                  const CollectiveSchedule& schedule, std::size_t begin,
+                  std::size_t end, std::size_t element_bytes,
+                  const Transport::Pack& pack,
+                  const Transport::Deliver& deliver) {
+  const std::span<const Message> messages(schedule.messages());
+  while (begin < end) {
+    std::size_t step_end = begin;
+    while (step_end < end &&
+           messages[step_end].step == messages[begin].step) {
+      ++step_end;
+    }
+    const auto step = messages.subspan(begin, step_end - begin);
+    transport.step(step, element_bytes, pack, deliver);
+    for (const Message& msg : step) {
+      const std::uint64_t bytes = msg.range.size() * element_bytes;
+      if (plays(transport, msg.sender)) {
+        ledger.record_exchange(msg.sender, bytes, 0, 1);
+      }
+      if (plays(transport, msg.receiver)) {
+        ledger.record_exchange(msg.receiver, 0, bytes, 0);
+      }
+    }
+    begin = step_end;
+  }
+}
+
+/// Copies each played rank's shard out of its per-rank state into a
+/// zeroed full-length buffer.
+template <typename T, typename Final>
+std::vector<T> owned_shards(const Transport& transport,
+                            const CollectiveSchedule& schedule,
+                            Final&& final_value) {
+  std::vector<T> result(schedule.elements(), T{0});
+  for (std::size_t k = 0; k < transport.ranks_played(); ++k) {
+    const ShardRange shard = schedule.shards()[transport.first_rank() + k];
+    for (std::size_t i = shard.begin; i < shard.end; ++i) {
+      result[i] = final_value(k, i);
+    }
+  }
+  return result;
+}
+
+/// Emits a received message's comm.wire record, fingerprinting `bits`.
+/// (step, receiver) is a unique wire coordinate within the reduce phase
+/// of any schedule, and records are emitted on the calling thread in
+/// message order, so provenance is deterministic by construction.
+template <typename V>
+void record_wire_step(obs::Recorder* recorder, const Message& msg,
+                      const std::string& label, std::span<const V> bits) {
+  if (recorder == nullptr) return;
+  obs::Fingerprint print;
+  print.feed(bits);
+  recorder->provenance({"comm.wire", "wire_step",
+                        static_cast<std::int64_t>(msg.step),
+                        static_cast<std::int64_t>(msg.receiver), label,
+                        print.value(), msg.range.size()});
+}
+
+/// The value codec: rounded adds in each message's operand order.
+/// Provenance fingerprints the receiver's freshly combined range.
+template <typename T>
+std::vector<T> value_reduce_scatter(Transport& transport,
+                                    TrafficLedger& ledger,
+                                    const CollectiveSchedule& schedule,
+                                    const collective::RankDataT<T>& data,
+                                    obs::Recorder* recorder) {
+  const std::string label = to_string(schedule.path());
+  const std::size_t first = transport.first_rank();
+  collective::RankDataT<T> buffers = data;
+  run_messages(
+      transport, ledger, schedule, 0, schedule.reduce_message_count(),
+      sizeof(T),
+      [&](const Message& msg, std::span<std::byte> out) {
+        std::memcpy(out.data(),
+                    buffers[msg.sender - first].data() + msg.range.begin,
+                    out.size());
+      },
+      [&](const Message& msg, std::span<const std::byte> in) {
+        T* dst = buffers[msg.receiver - first].data();
+        for (std::size_t i = msg.range.begin, k = 0; i < msg.range.end;
+             ++i, k += sizeof(T)) {
+          T incoming;
+          std::memcpy(&incoming, in.data() + k, sizeof(T));
+          dst[i] = msg.incoming_left ? static_cast<T>(incoming + dst[i])
+                                     : static_cast<T>(dst[i] + incoming);
+        }
+        record_wire_step(recorder, msg, label,
+                         std::span<const T>(dst + msg.range.begin,
+                                            msg.range.size()));
+      });
+  return owned_shards<T>(transport, schedule, [&](std::size_t k,
+                                                  std::size_t i) {
+    return buffers[k][i];
+  });
+}
+
+constexpr std::size_t kStateWords = fp::Superaccumulator::kWireWords;
+
+/// A payload as the wire words the state codec writes (payloads are
+/// 8-byte aligned).
+template <typename Byte>
+auto as_words(std::span<Byte> payload) {
+  using Word = std::conditional_t<std::is_const_v<Byte>, const std::uint64_t,
+                                  std::uint64_t>;
+  return std::span<Word>(reinterpret_cast<Word*>(payload.data()),
+                         payload.size() / sizeof(Word));
+}
+
+/// The state codec: messages carry serialized superaccumulator states,
+/// each hop merges exactly and only the shard owner rounds, so the bits
+/// are those of the allgather wire's exact path on any schedule. The
+/// algorithm is pinned (wire_reproducible_spec), so only the spec's dtype
+/// axes are dispatched. Provenance fingerprints each message's words.
+template <typename T>
+std::vector<T> state_reduce_scatter(Transport& transport,
+                                    TrafficLedger& ledger,
+                                    const CollectiveSchedule& schedule,
+                                    const collective::RankDataT<T>& data,
+                                    const fp::ReductionSpec& spec,
+                                    obs::Recorder* recorder) {
+  const std::string label =
       recorder != nullptr ? fp::to_string(spec) : std::string();
+  const std::size_t first = transport.first_rank();
   const std::size_t n = schedule.elements();
-  return fp::visit_reduction<T>(
-      spec, [&](auto, auto acc_c, auto quantize) -> std::vector<T> {
+  return fp::visit_dtypes<T>(
+      spec, [&](auto acc_c, auto quantize) -> std::vector<T> {
         using A = typename decltype(acc_c)::type;
-        std::vector<std::vector<fp::Superaccumulator>> states(
-            schedule.ranks(), std::vector<fp::Superaccumulator>(n));
-        for (std::size_t r = 0; r < schedule.ranks(); ++r) {
+        std::vector<fp::Superaccumulator> states(data.size() * n);
+        for (std::size_t k = 0; k < data.size(); ++k) {
           for (std::size_t i = 0; i < n; ++i) {
-            states[r][i].add(
-                static_cast<double>(static_cast<A>(quantize(data[r][i]))));
+            states[k * n + i].add(
+                static_cast<double>(static_cast<A>(quantize(data[k][i]))));
           }
         }
-        std::vector<std::uint64_t> words(fp::Superaccumulator::kWireWords);
-        const auto& messages = schedule.messages();
-        for (std::size_t m = 0; m < schedule.reduce_message_count(); ++m) {
-          const Message& msg = messages[m];
-          ledger.record_message(msg.sender, msg.receiver,
-                                msg.range.size() * kStateBytes);
-          obs::Fingerprint print;  // over this message's wire payload
-          for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-            states[msg.sender][i].serialize(words);
-            if (recorder != nullptr) {
-              for (const std::uint64_t w : words) print.feed(w);
-            }
-            // add_wire merges the wire image in place - bitwise the
-            // deserialize-then-add path, minus the copy.
-            states[msg.receiver][i].add_wire(words);
-          }
-          if (recorder != nullptr) {
-            recorder->provenance({"comm.wire", "wire_step",
-                                  static_cast<std::int64_t>(msg.step),
-                                  static_cast<std::int64_t>(msg.receiver),
-                                  spec_str, print.value(), msg.range.size()});
-          }
-        }
-        std::vector<T> result(n, T{0});
-        for (std::size_t r = 0; r < schedule.ranks(); ++r) {
-          const ShardRange shard = schedule.shards()[r];
-          for (std::size_t i = shard.begin; i < shard.end; ++i) {
-            result[i] =
-                static_cast<T>(static_cast<A>(states[r][i].round()));
-          }
-        }
-        return result;
+        run_messages(
+            transport, ledger, schedule, 0, schedule.reduce_message_count(),
+            kStateWords * sizeof(std::uint64_t),
+            [&](const Message& msg, std::span<std::byte> out) {
+              const auto words = as_words(out);
+              const fp::Superaccumulator* src =
+                  &states[(msg.sender - first) * n + msg.range.begin];
+              for (std::size_t k = 0; k < msg.range.size(); ++k) {
+                src[k].serialize(words.subspan(k * kStateWords, kStateWords));
+              }
+            },
+            [&](const Message& msg, std::span<const std::byte> in) {
+              const auto words = as_words(in);
+              fp::Superaccumulator* dst =
+                  &states[(msg.receiver - first) * n + msg.range.begin];
+              for (std::size_t k = 0; k < msg.range.size(); ++k) {
+                dst[k].add_wire(words.subspan(k * kStateWords, kStateWords));
+              }
+              record_wire_step(recorder, msg, label, words);
+            });
+        return owned_shards<T>(
+            transport, schedule, [&](std::size_t k, std::size_t i) {
+              return static_cast<T>(static_cast<A>(states[k * n + i].round()));
+            });
       });
 }
 
-/// Copy-phase traffic of the schedule (the data itself is already
-/// complete in the sim backend, which holds every shard).
 template <typename T>
-void sim_allgather_traffic(const CollectiveSchedule& schedule,
-                           TrafficLedger& ledger, T /*element tag*/) {
-  const auto& messages = schedule.messages();
-  for (std::size_t m = schedule.reduce_message_count();
-       m < messages.size(); ++m) {
-    const Message& msg = messages[m];
-    ledger.record_message(msg.sender, msg.receiver,
-                          msg.range.size() * sizeof(T));
+std::vector<T> reduce_scatter_impl(Transport& transport,
+                                   TrafficLedger& ledger,
+                                   const collective::RankDataT<T>& data,
+                                   const CollectiveSchedule& schedule,
+                                   collective::Algorithm algorithm,
+                                   const core::EvalContext& ctx) {
+  check_contributions(transport, data, "reduce_scatter");
+  check_schedule(schedule, transport.size(), data.front().size(), algorithm);
+  const bool exact = algorithm == collective::Algorithm::kReproducible;
+  obs::Span span(ctx.recorder, exact ? "comm.reduce_scatter.state"
+                                     : "comm.reduce_scatter.value");
+  span.arg("wire", to_string(schedule.path()));
+  span.arg("elements", static_cast<std::uint64_t>(schedule.elements()));
+  if (exact) {
+    return state_reduce_scatter(transport, ledger, schedule, data,
+                                wire_reproducible_spec(ctx), ctx.recorder);
   }
+  return value_reduce_scatter(transport, ledger, schedule, data,
+                              ctx.recorder);
 }
 
-/// Modelled traffic of the allgather backend: every rank ships its full
-/// n-element buffer to the other P-1 ranks and receives theirs - the
-/// O(n*P) baseline the schedules beat.
-void record_allgather_backend_traffic(TrafficLedger& ledger,
-                                      std::size_t ranks, std::size_t elements,
-                                      std::size_t element_bytes,
-                                      bool every_rank, std::size_t rank) {
-  const std::uint64_t bytes = static_cast<std::uint64_t>(ranks - 1) *
-                              elements * element_bytes;
-  if (every_rank) {
-    for (std::size_t r = 0; r < ranks; ++r) {
-      ledger.record_exchange(r, bytes, bytes, ranks - 1);
-    }
-  } else {
-    ledger.record_exchange(rank, bytes, bytes, ranks - 1);
-  }
-}
-
-}  // namespace
-
-SimProcessGroup::SimProcessGroup(std::size_t ranks, WirePath wire)
-    : ranks_(ranks), wire_(wire), ledger_(ranks) {
-  if (ranks == 0) {
-    throw std::invalid_argument("SimProcessGroup: zero ranks");
-  }
-}
-
-namespace {
-
+/// The schedule's copy phase. On the in-process transport every shard is
+/// already in `buffer`, so each copy lands on itself.
 template <typename T>
-std::vector<T> sim_allreduce(SimProcessGroup& pg, std::size_t ranks,
-                             WirePath wire, TrafficLedger& ledger,
-                             const collective::RankDataT<T>& contributions,
-                             collective::Algorithm algorithm,
-                             const core::EvalContext& ctx,
-                             std::size_t block_elements) {
-  if (contributions.size() != ranks) {
+void allgather_impl(Transport& transport, TrafficLedger& ledger,
+                    std::vector<T>& buffer,
+                    const CollectiveSchedule& schedule) {
+  if (buffer.size() != schedule.elements()) {
     throw std::invalid_argument(
-        "SimProcessGroup::allreduce: expected " + std::to_string(ranks) +
-        " rank contributions, got " + std::to_string(contributions.size()));
+        "ProcessGroup::allgather: buffer/schedule size mismatch");
   }
-  collective::validate(contributions);
+  run_messages(
+      transport, ledger, schedule, schedule.reduce_message_count(),
+      schedule.messages().size(), sizeof(T),
+      [&](const Message& msg, std::span<std::byte> out) {
+        std::memcpy(out.data(), buffer.data() + msg.range.begin, out.size());
+      },
+      [&](const Message& msg, std::span<const std::byte> in) {
+        std::memcpy(buffer.data() + msg.range.begin, in.data(), in.size());
+      });
+}
+
+/// Every rank's buffer for the allgather wire, through the transport.
+template <typename T>
+collective::RankDataT<T> gather_ranks(
+    Transport& transport, const collective::RankDataT<T>& contributions) {
+  std::vector<T> played;
+  for (const auto& rank : contributions) {
+    played.insert(played.end(), rank.begin(), rank.end());
+  }
+  const std::vector<std::byte> world =
+      transport.gather(std::as_bytes(std::span(played)), sizeof(T));
   const std::size_t n = contributions.front().size();
-  if (use_schedule(wire, algorithm)) {
+  collective::RankDataT<T> ranks(transport.size(), std::vector<T>(n));
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    std::memcpy(ranks[r].data(), world.data() + r * n * sizeof(T),
+                n * sizeof(T));
+  }
+  return ranks;
+}
+
+template <typename T>
+std::vector<T> allreduce_impl(ProcessGroup& pg, Transport& transport,
+                              TrafficLedger& ledger,
+                              const collective::RankDataT<T>& contributions,
+                              collective::Algorithm algorithm,
+                              const core::EvalContext& ctx,
+                              std::size_t block_elements) {
+  check_contributions(transport, contributions, "allreduce");
+  const std::size_t ranks = transport.size();
+  const std::size_t n = contributions.front().size();
+  // Deterministic algorithms travel a schedule wire; arrival-tree always
+  // combines on the allgather wire (its arrival-order draw has no plan).
+  if (pg.wire() != WirePath::kAllgather &&
+      algorithm != collective::Algorithm::kArrivalTree) {
     const auto schedule =
-        CollectiveSchedule::for_algorithm(algorithm, wire, ranks, n);
+        CollectiveSchedule::for_algorithm(algorithm, pg.wire(), ranks, n);
     auto buffer = pg.reduce_scatter(contributions, schedule, algorithm, ctx);
     pg.allgather(buffer, schedule);
     return buffer;
   }
-  record_allgather_backend_traffic(ledger, ranks, n, sizeof(T),
-                                   /*every_rank=*/true, 0);
-  return combine(contributions, algorithm, ctx, block_elements);
-}
-
-template <typename T>
-std::vector<T> sim_reduce_scatter(std::size_t ranks, TrafficLedger& ledger,
-                                  const collective::RankDataT<T>& data,
-                                  const CollectiveSchedule& schedule,
-                                  collective::Algorithm algorithm,
-                                  const core::EvalContext& ctx) {
-  if (data.size() != ranks) {
-    throw std::invalid_argument(
-        "SimProcessGroup::reduce_scatter: expected " + std::to_string(ranks) +
-        " rank contributions");
+  const bool plays_all = transport.ranks_played() == ranks;
+  const collective::RankDataT<T> gathered =
+      plays_all ? collective::RankDataT<T>{}
+                : gather_ranks(transport, contributions);
+  // Modelled traffic of the allgather wire: every rank ships its full
+  // buffer to the other P-1 ranks and receives theirs - the O(n*P)
+  // baseline the schedules beat.
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(ranks - 1) * n * sizeof(T);
+  for (std::size_t k = 0; k < transport.ranks_played(); ++k) {
+    ledger.record_exchange(transport.first_rank() + k, bytes, bytes,
+                           ranks - 1);
   }
-  collective::validate(data);
-  check_schedule(schedule, ranks, data.front().size(), algorithm);
-  if (algorithm == collective::Algorithm::kReproducible) {
-    return sim_state_reduce_scatter(schedule, data,
-                                    wire_reproducible_spec(ctx), ledger,
-                                    ctx.recorder);
-  }
-  return sim_value_reduce_scatter(schedule, data, ledger, ctx.recorder);
+  return combine(plays_all ? contributions : gathered, algorithm, ctx,
+                 block_elements);
 }
 
 }  // namespace
 
-std::vector<double> SimProcessGroup::allreduce(
-    const collective::RankData& contributions,
-    collective::Algorithm algorithm, const core::EvalContext& ctx,
-    std::size_t block_elements) {
-  return sim_allreduce(*this, ranks_, wire_, ledger_, contributions,
-                       algorithm, ctx, block_elements);
-}
-
-std::vector<float> SimProcessGroup::allreduce(
-    const collective::RankDataF& contributions,
-    collective::Algorithm algorithm, const core::EvalContext& ctx,
-    std::size_t block_elements) {
-  return sim_allreduce(*this, ranks_, wire_, ledger_, contributions,
-                       algorithm, ctx, block_elements);
-}
-
-std::vector<double> SimProcessGroup::reduce_scatter(
-    const collective::RankData& contributions,
-    const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-    const core::EvalContext& ctx) {
-  return sim_reduce_scatter(ranks_, ledger_, contributions, schedule,
-                            algorithm, ctx);
-}
-
-std::vector<float> SimProcessGroup::reduce_scatter(
-    const collective::RankDataF& contributions,
-    const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-    const core::EvalContext& ctx) {
-  return sim_reduce_scatter(ranks_, ledger_, contributions, schedule,
-                            algorithm, ctx);
-}
-
-void SimProcessGroup::allgather(std::vector<double>& buffer,
-                                const CollectiveSchedule& schedule) {
-  if (buffer.size() != schedule.elements()) {
-    throw std::invalid_argument(
-        "SimProcessGroup::allgather: buffer/schedule size mismatch");
+ProcessGroup::ProcessGroup(std::unique_ptr<Transport> transport,
+                           WirePath wire)
+    : transport_(std::move(transport)),
+      wire_(wire),
+      ledger_(transport_ ? transport_->size() : 0) {
+  if (!transport_ || transport_->size() == 0) {
+    throw std::invalid_argument("ProcessGroup: no transport or zero ranks");
   }
-  sim_allgather_traffic(schedule, ledger_, double{});
 }
 
-void SimProcessGroup::allgather(std::vector<float>& buffer,
-                                const CollectiveSchedule& schedule) {
-  if (buffer.size() != schedule.elements()) {
-    throw std::invalid_argument(
-        "SimProcessGroup::allgather: buffer/schedule size mismatch");
+#define FPNA_PROCESS_GROUP_OPS(T)                                            \
+  std::vector<T> ProcessGroup::allreduce(                                    \
+      const collective::RankDataT<T>& contributions,                         \
+      collective::Algorithm algorithm, const core::EvalContext& ctx,         \
+      std::size_t block_elements) {                                          \
+    return allreduce_impl(*this, *transport_, ledger_, contributions,        \
+                          algorithm, ctx, block_elements);                   \
+  }                                                                          \
+  std::vector<T> ProcessGroup::reduce_scatter(                               \
+      const collective::RankDataT<T>& contributions,                         \
+      const CollectiveSchedule& schedule, collective::Algorithm algorithm,   \
+      const core::EvalContext& ctx) {                                        \
+    return reduce_scatter_impl(*transport_, ledger_, contributions,          \
+                               schedule, algorithm, ctx);                    \
+  }                                                                          \
+  void ProcessGroup::allgather(std::vector<T>& buffer,                       \
+                               const CollectiveSchedule& schedule) {         \
+    allgather_impl(*transport_, ledger_, buffer, schedule);                  \
   }
-  sim_allgather_traffic(schedule, ledger_, float{});
-}
+
+FPNA_PROCESS_GROUP_OPS(double)
+FPNA_PROCESS_GROUP_OPS(float)
+
+#undef FPNA_PROCESS_GROUP_OPS
+
+SimProcessGroup::SimProcessGroup(std::size_t ranks, WirePath wire)
+    : ProcessGroup(std::make_unique<InProcessTransport>(ranks), wire) {}
 
 std::unique_ptr<ProcessGroup> make_process_group(std::size_t ranks,
                                                  WirePath wire) {
@@ -405,335 +485,99 @@ std::unique_ptr<ProcessGroup> make_process_group(std::size_t ranks,
 
 namespace {
 
-MPI_Datatype mpi_type(double) { return MPI_DOUBLE; }
-MPI_Datatype mpi_type(float) { return MPI_FLOAT; }
-
-std::size_t mpi_world_size() {
-  int initialized = 0;
-  MPI_Initialized(&initialized);
-  if (!initialized) {
-    throw std::runtime_error(
-        "MpiProcessGroup: MPI_Init must run before constructing the group");
-  }
-  int size = 0;
-  MPI_Comm_size(MPI_COMM_WORLD, &size);
-  return static_cast<std::size_t>(size);
-}
-
-std::size_t mpi_world_rank() {
-  int rank = 0;
-  MPI_Comm_rank(MPI_COMM_WORLD, &rank);
-  return static_cast<std::size_t>(rank);
-}
-
-/// Allgather every rank's local vector (equal lengths, checked) into the
-/// rank-ordered RankData the shared combine consumes.
-template <typename T>
-collective::RankDataT<T> gather_contributions(const std::vector<T>& local,
-                                              std::size_t ranks) {
-  unsigned long n = local.size();
-  unsigned long extents[2] = {n, n};
-  MPI_Allreduce(MPI_IN_PLACE, &extents[0], 1, MPI_UNSIGNED_LONG, MPI_MIN,
-                MPI_COMM_WORLD);
-  MPI_Allreduce(MPI_IN_PLACE, &extents[1], 1, MPI_UNSIGNED_LONG, MPI_MAX,
-                MPI_COMM_WORLD);
-  if (extents[0] != extents[1]) {
-    throw std::invalid_argument(
-        "MpiProcessGroup::allreduce: rank vector length mismatch");
-  }
-  std::vector<T> flat(ranks * local.size());
-  MPI_Allgather(local.data(), static_cast<int>(local.size()), mpi_type(T{}),
-                flat.data(), static_cast<int>(local.size()), mpi_type(T{}),
-                MPI_COMM_WORLD);
-  collective::RankDataT<T> contributions(ranks);
-  for (std::size_t r = 0; r < ranks; ++r) {
-    contributions[r].assign(
-        flat.begin() + static_cast<std::ptrdiff_t>(r * local.size()),
-        flat.begin() + static_cast<std::ptrdiff_t>((r + 1) * local.size()));
-  }
-  return contributions;
-}
-
-/// Per-rank tallies of one executed schedule phase.
-struct WireStats {
-  std::uint64_t words_sent = 0;
-  std::uint64_t words_received = 0;
-  std::uint64_t messages_sent = 0;
-};
-
-/// Walks [begin, end) of the schedule's messages step by step, calling
-/// `payload(msg)` to snapshot this rank's outgoing buffer (posted with
-/// MPI_Isend, tag = step) and `deliver(msg, words/values)` on each
-/// received message, in schedule order. `words_per_element` sizes the
-/// receive scratch. Every schedule guarantees a rank sends at most one
+/// The MPI transport: plays this process's rank of MPI_COMM_WORLD. A step
+/// posts its sends with MPI_Isend (tag = step), then receives in message
+/// order with MPI_Recv. Every schedule has a rank send at most one
 /// message per step, so (source, tag) pairs are unambiguous, and posting
 /// the nonblocking sends before any receive makes the step deadlock-free.
-template <typename Word, typename Payload, typename Deliver>
-WireStats mpi_run_messages(const CollectiveSchedule& schedule,
-                           std::size_t begin, std::size_t end,
-                           std::size_t rank, MPI_Datatype dtype,
-                           std::size_t words_per_element, Payload&& payload,
-                           Deliver&& deliver) {
-  const auto& messages = schedule.messages();
-  WireStats stats;
-  std::size_t m = begin;
-  while (m < end) {
-    const std::size_t step = messages[m].step;
-    std::size_t step_end = m;
-    while (step_end < end && messages[step_end].step == step) ++step_end;
+class MpiTransport final : public Transport {
+ public:
+  MpiTransport() {
+    int initialized = 0, size = 0, rank = 0;
+    MPI_Initialized(&initialized);
+    if (!initialized) {
+      throw std::runtime_error(
+          "MpiProcessGroup: MPI_Init must run before constructing the group");
+    }
+    MPI_Comm_size(MPI_COMM_WORLD, &size);
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    size_ = static_cast<std::size_t>(size);
+    rank_ = static_cast<std::size_t>(rank);
+  }
 
-    std::vector<std::vector<Word>> send_buffers;
+  std::size_t size() const noexcept override { return size_; }
+  std::size_t first_rank() const noexcept override { return rank_; }
+  std::size_t ranks_played() const noexcept override { return 1; }
+  const char* name() const noexcept override { return "mpi"; }
+  bool supports_concurrent_calls() const noexcept override { return false; }
+
+  void step(std::span<const Message> messages, std::size_t element_bytes,
+            const Pack& pack, const Deliver& deliver) override {
+    const ElementType element(element_bytes);
+    std::vector<Scratch> sends;  // moving a Scratch keeps its buffer
     std::vector<MPI_Request> requests;
-    for (std::size_t i = m; i < step_end; ++i) {
-      const Message& msg = messages[i];
-      if (msg.sender != rank) continue;
-      send_buffers.push_back(payload(msg));
-      requests.emplace_back();
-      MPI_Isend(send_buffers.back().data(),
-                static_cast<int>(send_buffers.back().size()), dtype,
-                static_cast<int>(msg.receiver), static_cast<int>(step),
-                MPI_COMM_WORLD, &requests.back());
-      stats.words_sent += send_buffers.back().size();
-      stats.messages_sent += 1;
+    for (const Message& msg : messages) {
+      if (msg.sender != rank_) continue;
+      const Scratch& out =
+          sends.emplace_back(msg.range.size() * element_bytes);
+      pack(msg, out.view);
+      MPI_Isend(out.view.data(), static_cast<int>(msg.range.size()),
+                element.type, static_cast<int>(msg.receiver),
+                static_cast<int>(msg.step), MPI_COMM_WORLD,
+                &requests.emplace_back());
     }
-    for (std::size_t i = m; i < step_end; ++i) {
-      const Message& msg = messages[i];
-      if (msg.receiver != rank) continue;
-      std::vector<Word> scratch(msg.range.size() * words_per_element);
-      MPI_Recv(scratch.data(), static_cast<int>(scratch.size()), dtype,
-               static_cast<int>(msg.sender), static_cast<int>(step),
-               MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-      stats.words_received += scratch.size();
-      deliver(msg, scratch);
+    for (const Message& msg : messages) {
+      if (msg.receiver != rank_) continue;
+      const Scratch in(msg.range.size() * element_bytes);
+      MPI_Recv(in.view.data(), static_cast<int>(msg.range.size()),
+               element.type, static_cast<int>(msg.sender),
+               static_cast<int>(msg.step), MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      deliver(msg, in.view);
     }
-    if (!requests.empty()) {
-      MPI_Waitall(static_cast<int>(requests.size()), requests.data(),
-                  MPI_STATUSES_IGNORE);
-    }
-    m = step_end;
+    MPI_Waitall(static_cast<int>(requests.size()), requests.data(),
+                MPI_STATUSES_IGNORE);
   }
-  return stats;
-}
 
-template <typename T>
-std::vector<T> mpi_allgather_combine(
-    const collective::RankDataT<T>& contributions, std::size_t ranks,
-    std::size_t rank, collective::Algorithm algorithm,
-    const core::EvalContext& ctx, std::size_t block_elements,
-    TrafficLedger& ledger) {
-  if (contributions.size() != 1) {
-    throw std::invalid_argument(
-        "MpiProcessGroup::allreduce: pass exactly this rank's local buffer");
+  std::vector<std::byte> gather(std::span<const std::byte> played,
+                                std::size_t element_bytes) override {
+    // One MPI_MIN over (n, -n) yields the smallest and largest length.
+    long extents[2] = {static_cast<long>(played.size()),
+                       -static_cast<long>(played.size())};
+    MPI_Allreduce(MPI_IN_PLACE, extents, 2, MPI_LONG, MPI_MIN,
+                  MPI_COMM_WORLD);
+    if (extents[0] != -extents[1]) {
+      throw std::invalid_argument(
+          "MpiProcessGroup::allreduce: rank vector length mismatch");
+    }
+    const ElementType element(element_bytes);
+    const int count = static_cast<int>(played.size() / element_bytes);
+    std::vector<std::byte> world(size_ * played.size());
+    MPI_Allgather(played.data(), count, element.type, world.data(), count,
+                  element.type, MPI_COMM_WORLD);
+    return world;
   }
-  const auto gathered = gather_contributions(contributions.front(), ranks);
-  record_allgather_backend_traffic(ledger, ranks,
-                                   contributions.front().size(), sizeof(T),
-                                   /*every_rank=*/false, rank);
-  return combine(gathered, algorithm, ctx, block_elements);
-}
+
+ private:
+  /// Counts travel in elements, as the schedule sizes them.
+  struct ElementType {
+    explicit ElementType(std::size_t bytes) {
+      MPI_Type_contiguous(static_cast<int>(bytes), MPI_BYTE, &type);
+      MPI_Type_commit(&type);
+    }
+    ElementType(const ElementType&) = delete;
+    ElementType& operator=(const ElementType&) = delete;
+    ~ElementType() { MPI_Type_free(&type); }
+    MPI_Datatype type;
+  };
+
+  std::size_t size_ = 0;
+  std::size_t rank_ = 0;
+};
 
 }  // namespace
 
 MpiProcessGroup::MpiProcessGroup(WirePath wire)
-    : size_(mpi_world_size()),
-      rank_(mpi_world_rank()),
-      wire_(wire),
-      ledger_(size_) {}
-
-namespace {
-
-template <typename T>
-std::vector<T> mpi_value_reduce_scatter(const CollectiveSchedule& schedule,
-                                        std::vector<T> local,
-                                        std::size_t rank,
-                                        TrafficLedger& ledger) {
-  const WireStats stats = mpi_run_messages<T>(
-      schedule, 0, schedule.reduce_message_count(), rank, mpi_type(T{}), 1,
-      [&](const Message& msg) {
-        return std::vector<T>(
-            local.begin() + static_cast<std::ptrdiff_t>(msg.range.begin),
-            local.begin() + static_cast<std::ptrdiff_t>(msg.range.end));
-      },
-      [&](const Message& msg, const std::vector<T>& incoming) {
-        std::size_t k = 0;
-        if (msg.incoming_left) {
-          for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-            local[i] = static_cast<T>(incoming[k++] + local[i]);
-          }
-        } else {
-          for (std::size_t i = msg.range.begin; i < msg.range.end; ++i) {
-            local[i] = static_cast<T>(local[i] + incoming[k++]);
-          }
-        }
-      });
-  ledger.record_exchange(rank, stats.words_sent * sizeof(T),
-                         stats.words_received * sizeof(T),
-                         stats.messages_sent);
-  return local;
-}
-
-template <typename T>
-std::vector<T> mpi_state_reduce_scatter(const CollectiveSchedule& schedule,
-                                        const std::vector<T>& local,
-                                        const fp::ReductionSpec& spec,
-                                        std::size_t rank,
-                                        TrafficLedger& ledger) {
-  constexpr std::size_t kWords = fp::Superaccumulator::kWireWords;
-  const std::size_t n = schedule.elements();
-  return fp::visit_reduction<T>(
-      spec, [&](auto, auto acc_c, auto quantize) -> std::vector<T> {
-        using A = typename decltype(acc_c)::type;
-        std::vector<fp::Superaccumulator> states(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          states[i].add(
-              static_cast<double>(static_cast<A>(quantize(local[i]))));
-        }
-        const WireStats stats = mpi_run_messages<std::uint64_t>(
-            schedule, 0, schedule.reduce_message_count(), rank, MPI_UINT64_T,
-            kWords,
-            [&](const Message& msg) {
-              std::vector<std::uint64_t> buffer(msg.range.size() * kWords);
-              for (std::size_t i = 0; i < msg.range.size(); ++i) {
-                states[msg.range.begin + i].serialize(
-                    std::span<std::uint64_t>(buffer).subspan(i * kWords,
-                                                             kWords));
-              }
-              return buffer;
-            },
-            [&](const Message& msg, const std::vector<std::uint64_t>& in) {
-              for (std::size_t i = 0; i < msg.range.size(); ++i) {
-                states[msg.range.begin + i].add_wire(
-                    std::span<const std::uint64_t>(in).subspan(i * kWords,
-                                                               kWords));
-              }
-            });
-        ledger.record_exchange(rank, stats.words_sent * 8,
-                               stats.words_received * 8,
-                               stats.messages_sent);
-        std::vector<T> result(n, T{0});
-        const ShardRange shard = schedule.shards()[rank];
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          result[i] = static_cast<T>(static_cast<A>(states[i].round()));
-        }
-        return result;
-      });
-}
-
-template <typename T>
-std::vector<T> mpi_reduce_scatter_impl(
-    const collective::RankDataT<T>& contributions,
-    const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-    const core::EvalContext& ctx, std::size_t size, std::size_t rank,
-    TrafficLedger& ledger) {
-  if (contributions.size() != 1) {
-    throw std::invalid_argument(
-        "MpiProcessGroup::reduce_scatter: pass exactly this rank's local "
-        "buffer");
-  }
-  check_schedule(schedule, size, contributions.front().size(), algorithm);
-  if (algorithm == collective::Algorithm::kReproducible) {
-    return mpi_state_reduce_scatter(schedule, contributions.front(),
-                                    wire_reproducible_spec(ctx), rank,
-                                    ledger);
-  }
-  return mpi_value_reduce_scatter(schedule, contributions.front(), rank,
-                                  ledger);
-}
-
-template <typename T>
-void mpi_allgather_impl(std::vector<T>& buffer,
-                        const CollectiveSchedule& schedule, std::size_t rank,
-                        TrafficLedger& ledger) {
-  if (buffer.size() != schedule.elements()) {
-    throw std::invalid_argument(
-        "MpiProcessGroup::allgather: buffer/schedule size mismatch");
-  }
-  const WireStats stats = mpi_run_messages<T>(
-      schedule, schedule.reduce_message_count(),
-      schedule.messages().size(), rank, mpi_type(T{}), 1,
-      [&](const Message& msg) {
-        return std::vector<T>(
-            buffer.begin() + static_cast<std::ptrdiff_t>(msg.range.begin),
-            buffer.begin() + static_cast<std::ptrdiff_t>(msg.range.end));
-      },
-      [&](const Message& msg, const std::vector<T>& incoming) {
-        std::copy(incoming.begin(), incoming.end(),
-                  buffer.begin() +
-                      static_cast<std::ptrdiff_t>(msg.range.begin));
-      });
-  ledger.record_exchange(rank, stats.words_sent * sizeof(T),
-                         stats.words_received * sizeof(T),
-                         stats.messages_sent);
-}
-
-template <typename T>
-std::vector<T> mpi_allreduce(MpiProcessGroup& pg,
-                             const collective::RankDataT<T>& contributions,
-                             collective::Algorithm algorithm,
-                             const core::EvalContext& ctx,
-                             std::size_t block_elements, std::size_t size,
-                             std::size_t rank, WirePath wire,
-                             TrafficLedger& ledger) {
-  if (use_schedule(wire, algorithm)) {
-    if (contributions.size() != 1) {
-      throw std::invalid_argument(
-          "MpiProcessGroup::allreduce: pass exactly this rank's local "
-          "buffer");
-    }
-    const auto schedule = CollectiveSchedule::for_algorithm(
-        algorithm, wire, size, contributions.front().size());
-    auto buffer =
-        pg.reduce_scatter(contributions, schedule, algorithm, ctx);
-    pg.allgather(buffer, schedule);
-    return buffer;
-  }
-  return mpi_allgather_combine(contributions, size, rank, algorithm, ctx,
-                               block_elements, ledger);
-}
-
-}  // namespace
-
-std::vector<double> MpiProcessGroup::allreduce(
-    const collective::RankData& contributions,
-    collective::Algorithm algorithm, const core::EvalContext& ctx,
-    std::size_t block_elements) {
-  return mpi_allreduce(*this, contributions, algorithm, ctx, block_elements,
-                       size_, rank_, wire_, ledger_);
-}
-
-std::vector<float> MpiProcessGroup::allreduce(
-    const collective::RankDataF& contributions,
-    collective::Algorithm algorithm, const core::EvalContext& ctx,
-    std::size_t block_elements) {
-  return mpi_allreduce(*this, contributions, algorithm, ctx, block_elements,
-                       size_, rank_, wire_, ledger_);
-}
-
-std::vector<double> MpiProcessGroup::reduce_scatter(
-    const collective::RankData& contributions,
-    const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-    const core::EvalContext& ctx) {
-  return mpi_reduce_scatter_impl(contributions, schedule, algorithm, ctx,
-                                 size_, rank_, ledger_);
-}
-
-std::vector<float> MpiProcessGroup::reduce_scatter(
-    const collective::RankDataF& contributions,
-    const CollectiveSchedule& schedule, collective::Algorithm algorithm,
-    const core::EvalContext& ctx) {
-  return mpi_reduce_scatter_impl(contributions, schedule, algorithm, ctx,
-                                 size_, rank_, ledger_);
-}
-
-void MpiProcessGroup::allgather(std::vector<double>& buffer,
-                                const CollectiveSchedule& schedule) {
-  mpi_allgather_impl(buffer, schedule, rank_, ledger_);
-}
-
-void MpiProcessGroup::allgather(std::vector<float>& buffer,
-                                const CollectiveSchedule& schedule) {
-  mpi_allgather_impl(buffer, schedule, rank_, ledger_);
-}
+    : ProcessGroup(std::make_unique<MpiTransport>(), wire) {}
 
 std::unique_ptr<ProcessGroup> make_mpi_process_group(WirePath wire) {
   return std::make_unique<MpiProcessGroup>(wire);

@@ -268,14 +268,6 @@ void TrafficLedger::record_exchange(std::size_t rank,
   c.messages->add(messages);
 }
 
-void TrafficLedger::record_message(std::size_t sender, std::size_t receiver,
-                                   std::uint64_t bytes) {
-  RankCounters& sc = per_rank_.at(sender);
-  sc.bytes_sent->add(bytes);
-  sc.messages->increment();
-  per_rank_.at(receiver).bytes_received->add(bytes);
-}
-
 Traffic TrafficLedger::of_rank(std::size_t rank) const {
   const RankCounters& c = per_rank_.at(rank);
   return {c.bytes_sent->value(), c.bytes_received->value(),

@@ -816,6 +816,20 @@ decltype(auto) visit_accumulate(Dtype accumulate, F&& f) {
 
 }  // namespace detail
 
+/// The dtype axes of a ReductionSpec alone: `f(acc_c, quantize)` as in
+/// visit_reduction, for callers whose algorithm is fixed by construction
+/// (comm's superaccumulator wire codec), so no algorithm x lanes copies
+/// instantiate.
+template <typename N, typename F>
+decltype(auto) visit_dtypes(const ReductionSpec& spec, F&& f) {
+  return detail::visit_storage<N>(
+      spec.storage, [&](auto quantize) -> decltype(auto) {
+        return detail::visit_accumulate<N>(
+            spec.accumulate,
+            [&](auto acc_c) -> decltype(auto) { return f(acc_c, quantize); });
+      });
+}
+
 /// Static visitor over the full ReductionSpec: one switch chain per
 /// reduction *call*, then `f(tag, acc_c, quantize)` runs fully
 /// monomorphised - `tag` as in visit_algorithm (a tags::Simd wrapper when
@@ -830,12 +844,9 @@ template <typename N, typename F>
 decltype(auto) visit_reduction(const ReductionSpec& spec, F&& f) {
   return visit_lane_algorithm(
       spec.algorithm, spec.lanes, [&](auto tag) -> decltype(auto) {
-        return detail::visit_storage<N>(
-            spec.storage, [&](auto quantize) -> decltype(auto) {
-              return detail::visit_accumulate<N>(
-                  spec.accumulate, [&](auto acc_c) -> decltype(auto) {
-                    return f(tag, acc_c, quantize);
-                  });
+        return visit_dtypes<N>(
+            spec, [&](auto acc_c, auto quantize) -> decltype(auto) {
+              return f(tag, acc_c, quantize);
             });
       });
 }

@@ -48,7 +48,9 @@ class Superaccumulator {
   /// deserialize copy and the redundant re-normalisation of the rhs (the
   /// wire form is canonical by construction). This is the hot merge of
   /// the collective reduce-scatter: every received shard is one of these
-  /// adds per element. Throws std::invalid_argument on a wrong-size span.
+  /// adds per element. Throws std::invalid_argument on a wrong-size span
+  /// or a malformed image (see deserialize), so a peer's bad words can
+  /// never overflow the limb add.
   void add_wire(std::span<const std::uint64_t> words);
 
   /// Rounds the accumulated value to the nearest double. Pure function of
@@ -75,7 +77,12 @@ class Superaccumulator {
   /// `out` is not that size.
   void serialize(std::span<std::uint64_t> out) const;
 
-  /// Rebuilds the exact state from serialize()'s words (size-checked).
+  /// Rebuilds the exact state from serialize()'s words. Throws
+  /// std::invalid_argument on a wrong-size span and on any image
+  /// serialize() cannot produce: a limb below the top one outside
+  /// [0, 2^32), a top limb outside [-2^62, 2^62) (a magnitude of 2^1080,
+  /// which only 2^56 DBL_MAX-sized addends reach), or a flag bit above
+  /// the three defined ones.
   static Superaccumulator deserialize(std::span<const std::uint64_t> words);
 
   /// Exceptional-value state (propagated like IEEE addition would).

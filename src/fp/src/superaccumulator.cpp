@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "fpna/fp/double_double.hpp"
 #include "fpna/fp/simd.hpp"
@@ -55,11 +56,44 @@ void Superaccumulator::add(const Superaccumulator& other) noexcept {
   neg_inf_ = neg_inf_ || rhs.neg_inf_;
 }
 
-void Superaccumulator::add_wire(std::span<const std::uint64_t> words) {
-  if (words.size() != kWireWords) {
-    throw std::invalid_argument(
-        "Superaccumulator::add_wire: need exactly kWireWords words");
+namespace {
+
+/// Rejects any image serialize() cannot produce. normalize() leaves every
+/// limb below the top in [0, 2^32) and carries the sign in the top limb;
+/// the flags word holds three bits. The top limb is held to
+/// [-2^62, 2^62): 2^62 top-limb units are 2^1080, which a sum of finite
+/// doubles reaches only after 2^56 DBL_MAX-sized addends, and the bound
+/// keeps the int64 limb add of two accepted images from overflowing.
+void check_wire(std::span<const std::uint64_t> words, const char* who) {
+  constexpr int kTop = Superaccumulator::kNumLimbs - 1;
+  if (words.size() != Superaccumulator::kWireWords) {
+    throw std::invalid_argument(std::string(who) +
+                                ": need exactly kWireWords words");
   }
+  // Four independent OR chains: this pass runs on every received element
+  // of the collective reduce-scatter, and one 67-long dependency chain
+  // costs about three times as much.
+  static_assert(kTop == 67);
+  std::uint64_t lanes[4] = {words[64], words[65], words[66], 0};
+  for (std::size_t i = 0; i < 64; i += 4) {
+    for (std::size_t j = 0; j < 4; ++j) lanes[j] |= words[i + j];
+  }
+  const std::uint64_t below_top = lanes[0] | lanes[1] | lanes[2] | lanes[3];
+  const auto top = static_cast<std::int64_t>(words[kTop]);
+  constexpr std::int64_t kTopBound = std::int64_t{1} << 62;
+  if ((below_top >> Superaccumulator::kLimbBits) != 0 || top < -kTopBound ||
+      top >= kTopBound || words[kTop + 1] > 7u) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": malformed wire image (non-canonical limb, top limb out of "
+        "range or unknown flag bit)");
+  }
+}
+
+}  // namespace
+
+void Superaccumulator::add_wire(std::span<const std::uint64_t> words) {
+  check_wire(words, "Superaccumulator::add_wire");
   // Same op sequence as add(deserialize(words)): the rhs normalize that
   // path performs is the identity on the already-canonical wire limbs
   // (every limb in [0, 2^32) except the sign-carrying top limb, which
@@ -115,10 +149,7 @@ void Superaccumulator::serialize(std::span<std::uint64_t> out) const {
 
 Superaccumulator Superaccumulator::deserialize(
     std::span<const std::uint64_t> words) {
-  if (words.size() != kWireWords) {
-    throw std::invalid_argument(
-        "Superaccumulator::deserialize: need exactly kWireWords words");
-  }
+  check_wire(words, "Superaccumulator::deserialize");
   Superaccumulator acc;
   for (int i = 0; i < kNumLimbs; ++i) {
     acc.limbs_[i] =

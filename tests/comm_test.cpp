@@ -6,9 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fpna/comm/bucket_scheduler.hpp"
@@ -22,6 +33,7 @@
 #include "fpna/dl/trainer.hpp"
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/bits.hpp"
+#include "fpna/obs/recorder.hpp"
 #include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
 
@@ -366,6 +378,268 @@ TEST(WireSchedules, MeasuredTrafficIsOofNPerRankVsAllgatherOofNP) {
   wired.reset_traffic();
   EXPECT_EQ(wired.traffic(0).bytes_sent, 0u);
   EXPECT_EQ(wired.total_traffic().messages, 0u);
+}
+
+// ----------------------------------------- one rank per participant --
+
+/// A payload held in 8-byte words, as Transport promises its codecs.
+struct Payload {
+  explicit Payload(std::size_t bytes) : words((bytes + 7) / 8), size(bytes) {}
+  std::span<std::byte> bytes() {
+    return {reinterpret_cast<std::byte*>(words.data()), size};
+  }
+  std::vector<std::uint64_t> words;
+  std::size_t size;
+};
+
+/// The shared mailbox of the threaded loopback: blocking receives, FIFO
+/// per (sender, receiver, tag) like MPI's non-overtaking order, so tags
+/// may repeat across consecutive collectives.
+class LoopbackMailbox {
+ public:
+  void post(std::size_t from, std::size_t to, std::int64_t tag,
+            Payload payload) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      boxes_[{from, to, tag}].push_back(std::move(payload));
+    }
+    ready_.notify_all();
+  }
+
+  /// Times out instead of hanging when a peer has failed.
+  Payload receive(std::size_t from, std::size_t to, std::int64_t tag) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto& box = boxes_[{from, to, tag}];
+    if (!ready_.wait_for(lock, std::chrono::seconds(60),
+                         [&] { return !box.empty(); })) {
+      throw std::runtime_error("loopback: receive timed out");
+    }
+    Payload payload = std::move(box.front());
+    box.pop_front();
+    return payload;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::map<std::tuple<std::size_t, std::size_t, std::int64_t>,
+           std::deque<Payload>>
+      boxes_;
+};
+
+/// Plays one rank, as the MPI transport does, so the interpreter takes
+/// the MPI code path without MPI: sends go to the mailbox before any
+/// receive of the step, receives block.
+class LoopbackTransport final : public Transport {
+ public:
+  LoopbackTransport(LoopbackMailbox& mailbox, std::size_t rank,
+                    std::size_t ranks)
+      : mailbox_(mailbox), rank_(rank), ranks_(ranks) {}
+
+  std::size_t size() const noexcept override { return ranks_; }
+  std::size_t first_rank() const noexcept override { return rank_; }
+  std::size_t ranks_played() const noexcept override { return 1; }
+  const char* name() const noexcept override { return "loopback"; }
+  bool supports_concurrent_calls() const noexcept override { return false; }
+
+  void step(std::span<const Message> messages, std::size_t element_bytes,
+            const Pack& pack, const Deliver& deliver) override {
+    for (const Message& msg : messages) {
+      if (msg.sender != rank_) continue;
+      Payload out(msg.range.size() * element_bytes);
+      pack(msg, out.bytes());
+      mailbox_.post(rank_, msg.receiver, static_cast<std::int64_t>(msg.step),
+                    std::move(out));
+    }
+    for (const Message& msg : messages) {
+      if (msg.receiver != rank_) continue;
+      Payload in = mailbox_.receive(msg.sender, rank_,
+                                    static_cast<std::int64_t>(msg.step));
+      deliver(msg, in.bytes());
+    }
+  }
+
+  std::vector<std::byte> gather(std::span<const std::byte> played,
+                                std::size_t) override {
+    constexpr std::int64_t kGatherTag = -1;
+    for (std::size_t q = 0; q < ranks_; ++q) {
+      if (q == rank_) continue;
+      Payload out(played.size());
+      std::memcpy(out.words.data(), played.data(), played.size());
+      mailbox_.post(rank_, q, kGatherTag, std::move(out));
+    }
+    std::vector<std::byte> world(ranks_ * played.size());
+    for (std::size_t q = 0; q < ranks_; ++q) {
+      std::byte* slot = world.data() + q * played.size();
+      if (q == rank_) {
+        std::memcpy(slot, played.data(), played.size());
+        continue;
+      }
+      Payload in = mailbox_.receive(q, rank_, kGatherTag);
+      if (in.size != played.size()) {
+        throw std::invalid_argument("loopback gather: length mismatch");
+      }
+      std::memcpy(slot, in.bytes().data(), played.size());
+    }
+    return world;
+  }
+
+ private:
+  LoopbackMailbox& mailbox_;
+  std::size_t rank_;
+  std::size_t ranks_;
+};
+
+struct WireRecord {
+  std::int64_t step = 0;
+  std::int64_t receiver = 0;
+  std::string spec;
+  std::uint64_t bits = 0;
+  std::uint64_t elements = 0;
+  bool operator==(const WireRecord&) const = default;
+};
+
+/// What one process observes of one allreduce: the result bits, its
+/// traffic row and its comm.wire records (those for `receiver` only when
+/// set).
+struct Observed {
+  std::vector<std::uint64_t> bits;
+  Traffic traffic;
+  std::vector<WireRecord> records;
+};
+
+struct LoopbackCase {
+  collective::Algorithm algorithm;
+  const char* spec;  // nullptr: the default superaccumulator exchange
+};
+
+template <typename T>
+std::vector<std::uint64_t> bit_patterns(const std::vector<T>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const T x : values) {
+    if constexpr (sizeof(T) == 8) {
+      bits.push_back(fp::to_bits(x));
+    } else {
+      bits.push_back(fp::to_bits32(x));
+    }
+  }
+  return bits;
+}
+
+template <typename T>
+Observed observe(ProcessGroup& pg, const collective::RankDataT<T>& data,
+                 const LoopbackCase& c, std::size_t row,
+                 std::optional<std::size_t> receiver) {
+  obs::Recorder recorder;
+  core::EvalContext ctx;
+  ctx.recorder = &recorder;
+  if (c.spec != nullptr) ctx.accumulator = fp::parse_reduction_spec(c.spec);
+  pg.reset_traffic();
+  Observed seen;
+  seen.bits = bit_patterns(pg.allreduce(data, c.algorithm, ctx));
+  seen.traffic = pg.traffic(row);
+  for (const auto& stamped : recorder.sorted_provenance()) {
+    const auto& r = stamped.record;
+    if (r.site != "comm.wire") continue;
+    if (receiver && r.sub_index != static_cast<std::int64_t>(*receiver)) {
+      continue;
+    }
+    seen.records.push_back({r.index, r.sub_index, r.spec, r.bits, r.elements});
+  }
+  return seen;
+}
+
+template <typename T>
+std::vector<std::uint64_t> reference_bits(const collective::RankDataT<T>& data,
+                                          const LoopbackCase& c) {
+  if (c.spec != nullptr) {
+    return bit_patterns(exact_elementwise_allreduce(
+        data, fp::parse_reduction_spec(c.spec)));
+  }
+  return bit_patterns(
+      collective::allreduce(data, c.algorithm, core::EvalContext{}));
+}
+
+TEST(WireSchedules, OneRankPerParticipantMatchesSim) {
+  // The MPI code path without MPI: P participants on P threads, each
+  // playing one rank through a loopback transport, must observe exactly
+  // what the in-process simulation computes for that rank - result bits,
+  // traffic row and comm.wire provenance - and the bits must equal the
+  // collective reference. P = 3 and 5 cover the butterfly pre-fold.
+  const std::vector<LoopbackCase> cases{
+      {collective::Algorithm::kRing, nullptr},
+      {collective::Algorithm::kRecursiveDoubling, nullptr},
+      {collective::Algorithm::kReproducible, nullptr},
+      {collective::Algorithm::kReproducible, "superaccumulator@bf16:f32"},
+  };
+  const std::size_t n = 61;
+  for (const std::size_t ranks : {3u, 4u, 5u}) {
+    const auto data = mixed_magnitude_rank_data<double>(ranks, n, 29 + ranks);
+    const auto dataf = mixed_magnitude_rank_data<float>(ranks, n, 31 + ranks);
+    for (const WirePath wire :
+         {WirePath::kAllgather, WirePath::kRing, WirePath::kButterfly}) {
+      // seen[r][2 * case + dtype], dtype 0 = f64, 1 = f32.
+      std::vector<std::vector<Observed>> seen(ranks);
+      std::vector<std::string> errors(ranks);
+      LoopbackMailbox mailbox;
+      std::vector<std::thread> participants;
+      for (std::size_t r = 0; r < ranks; ++r) {
+        participants.emplace_back([&, r] {
+          try {
+            ProcessGroup pg(
+                std::make_unique<LoopbackTransport>(mailbox, r, ranks), wire);
+            for (const LoopbackCase& c : cases) {
+              seen[r].push_back(observe(pg, collective::RankData{data[r]}, c,
+                                        r, std::nullopt));
+              seen[r].push_back(observe(pg, collective::RankDataF{dataf[r]},
+                                        c, r, std::nullopt));
+            }
+          } catch (const std::exception& error) {
+            errors[r] = error.what();
+          }
+        });
+      }
+      for (auto& participant : participants) participant.join();
+      for (std::size_t r = 0; r < ranks; ++r) {
+        ASSERT_EQ(errors[r], "") << "participant " << r;
+        ASSERT_EQ(seen[r].size(), 2 * cases.size());
+      }
+
+      SimProcessGroup sim(ranks, wire);
+      for (std::size_t k = 0; k < cases.size(); ++k) {
+        const LoopbackCase& c = cases[k];
+        const auto expect = reference_bits(data, c);
+        const auto expect_f = reference_bits(dataf, c);
+        for (std::size_t r = 0; r < ranks; ++r) {
+          const std::string where =
+              std::string(to_string(wire)) + " " +
+              collective::to_string(c.algorithm) + " " +
+              (c.spec ? c.spec : "default") + " P=" + std::to_string(ranks) +
+              " rank " + std::to_string(r);
+          const Observed sim_seen = observe(sim, data, c, r, r);
+          const Observed sim_seen_f = observe(sim, dataf, c, r, r);
+          for (const auto& [mine, simulated, reference] :
+               {std::tuple{&seen[r][2 * k], &sim_seen, &expect},
+                std::tuple{&seen[r][2 * k + 1], &sim_seen_f, &expect_f}}) {
+            EXPECT_EQ(mine->bits, simulated->bits) << where;
+            EXPECT_EQ(simulated->bits, *reference) << where;
+            EXPECT_EQ(mine->traffic.bytes_sent, simulated->traffic.bytes_sent)
+                << where;
+            EXPECT_EQ(mine->traffic.bytes_received,
+                      simulated->traffic.bytes_received)
+                << where;
+            EXPECT_EQ(mine->traffic.messages, simulated->traffic.messages)
+                << where;
+            EXPECT_EQ(mine->records, simulated->records) << where;
+            if (r == 0) {  // rank 0 receives on every schedule
+              EXPECT_EQ(mine->records.empty(), wire == WirePath::kAllgather)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ BucketScheduler --

@@ -363,6 +363,77 @@ TEST(Superaccumulator, WireFormCarriesExceptionalState) {
   EXPECT_TRUE(Superaccumulator::deserialize(words).has_nan());
 }
 
+TEST(Superaccumulator, WireImagesRoundTripAndMalformedOnesThrow) {
+  // Seeded property: every serialize() image of a random sum - magnitudes
+  // across the whole double range, negative totals, NaN/+-Inf flags -
+  // round-trips through deserialize and add_wire, and any image
+  // serialize() cannot produce throws before touching the state.
+  constexpr std::size_t kWords = Superaccumulator::kWireWords;
+  constexpr std::size_t kTop = Superaccumulator::kNumLimbs - 1;
+  util::Xoshiro256pp rng(4242);
+  const util::UniformReal unit(0.0, 1.0);
+  std::vector<std::uint64_t> words(kWords);
+  std::vector<std::uint64_t> again(kWords);
+  int negative_totals = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Superaccumulator acc;
+    const double bias = trial % 2 == 0 ? 1.0 : -1.0;
+    const int count = 1 + static_cast<int>(unit(rng) * 64);
+    for (int i = 0; i < count; ++i) {
+      const int exponent = static_cast<int>(unit(rng) * 2097) - 1074;
+      const double sign = unit(rng) < 0.8 ? bias : -bias;
+      acc.add(sign * std::ldexp(1.0 + unit(rng), exponent));
+    }
+    if (trial % 11 == 0) {
+      for (int i = 0; i < 64; ++i) {
+        acc.add(bias * std::numeric_limits<double>::max());
+      }
+    }
+    if (trial % 7 == 0) acc.add(kNaN);
+    if (trial % 5 == 0) acc.add(kInf);
+    if (trial % 3 == 0) acc.add(-kInf);
+    negative_totals += acc.round() < 0.0;
+
+    acc.serialize(words);
+    const Superaccumulator restored = Superaccumulator::deserialize(words);
+    EXPECT_TRUE(restored.equals(acc)) << "trial " << trial;
+    EXPECT_TRUE(bitwise_equal(restored.round(), acc.round()));
+    restored.serialize(again);
+    EXPECT_EQ(again, words) << "trial " << trial;
+    Superaccumulator merged;
+    merged.add_wire(words);
+    EXPECT_TRUE(merged.equals(acc)) << "trial " << trial;
+
+    const auto rejects = [&](const std::vector<std::uint64_t>& bad) {
+      EXPECT_THROW(Superaccumulator::deserialize(bad), std::invalid_argument)
+          << "trial " << trial;
+      Superaccumulator sink;
+      sink.add(1.0);
+      EXPECT_THROW(sink.add_wire(bad), std::invalid_argument)
+          << "trial " << trial;
+      EXPECT_EQ(sink.round(), 1.0);  // rejected before any merge
+    };
+    auto bad = words;  // a non-canonical limb below the top one
+    bad[static_cast<std::size_t>(trial) % kTop] |=
+        std::uint64_t{1} << (32 + trial % 32);
+    rejects(bad);
+    bad = words;  // an unknown flag bit
+    bad[kTop + 1] |= std::uint64_t{1} << (3 + trial % 61);
+    rejects(bad);
+    bad = words;  // a top limb no reachable sum produces
+    bad[kTop] = trial % 2 == 0
+                    ? std::uint64_t{1} << 62
+                    : static_cast<std::uint64_t>(-(std::int64_t{1} << 62) - 1);
+    rejects(bad);
+    rejects(std::vector<std::uint64_t>(
+        words.begin(), words.end() - 1 - trial % 5));  // truncated
+    bad = words;
+    bad.push_back(0);  // overlong
+    rejects(bad);
+  }
+  EXPECT_GT(negative_totals, 50);
+}
+
 TEST(Superaccumulator, DenormalsAccumulate) {
   const double tiny = 5e-324;
   Superaccumulator acc;

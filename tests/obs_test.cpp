@@ -214,7 +214,8 @@ TEST(Clock, NowIsMonotonic) {
 TEST(TrafficLedger, SurfacesObsCounters) {
   Metrics metrics;
   comm::TrafficLedger ledger(2, &metrics);
-  ledger.record_message(0, 1, 64);
+  ledger.record_exchange(0, 64, 0, 1);  // one 64-byte message 0 -> 1
+  ledger.record_exchange(1, 0, 64, 0);
   ledger.record_exchange(1, 100, 200, 3);
   EXPECT_EQ(ledger.of_rank(0).bytes_sent, 64u);
   EXPECT_EQ(ledger.of_rank(1).bytes_received, 64u + 200u);
@@ -226,7 +227,7 @@ TEST(TrafficLedger, SurfacesObsCounters) {
   EXPECT_EQ(ledger.total().bytes_sent, 0u);
   // Self-owned registry works the same way.
   comm::TrafficLedger owned(1);
-  owned.record_message(0, 0, 8);
+  owned.record_exchange(0, 8, 8, 1);
   EXPECT_EQ(owned.total().bytes_sent, 8u);
 }
 
