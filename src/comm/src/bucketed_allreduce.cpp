@@ -10,6 +10,7 @@
 
 #include "fpna/core/run_context.hpp"
 #include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/thread_pool.hpp"
 
@@ -162,6 +163,14 @@ core::EvalContext bucket_context(const core::EvalContext& ctx,
   return bctx;
 }
 
+/// Pointers to tensor t of each sample in `sample_ids`, in that order.
+template <typename T>
+void append_runs(std::vector<const T*>& runs,
+                 const std::vector<TensorList<T>>& samples,
+                 const std::vector<std::size_t>& sample_ids, std::size_t t) {
+  for (const std::size_t s : sample_ids) runs.push_back(samples[s][t].data());
+}
+
 }  // namespace
 
 template <typename T>
@@ -280,21 +289,15 @@ TensorList<T> sharded_bucketed_allreduce(
         partials[r][t].assign(sizes[t], T{0});
       }
     }
-    fp::visit_reduction<T>(
-        ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-          using A = typename decltype(acc_c)::type;
-          for (std::size_t t = 0; t < sizes.size(); ++t) {
-            for (std::size_t i = 0; i < sizes[t]; ++i) {
-              for (std::size_t r = 0; r < ranks; ++r) {
-                typename decltype(tag)::template accumulator_t<A> acc;
-                for (const std::size_t s : of_rank[r]) {
-                  acc.add(static_cast<A>(quantize(samples[s][t][i])));
-                }
-                partials[r][t][i] = static_cast<T>(acc.result());
-              }
-            }
-          }
-        });
+    const fp::Fold<T>& fold = fp::Fold<T>::of(ctx.reduction_in_effect());
+    std::vector<const T*> runs;
+    for (std::size_t r = 0; r < ranks; ++r) {
+      for (std::size_t t = 0; t < sizes.size(); ++t) {
+        runs.clear();
+        append_runs(runs, samples, of_rank[r], t);
+        fold.sum_each(runs, sizes[t], partials[r][t].data());
+      }
+    }
     return bucketed_allreduce(pg, partials, algorithm, ctx, config);
   }
 
@@ -315,31 +318,22 @@ TensorList<T> sharded_bucketed_allreduce(
         bucket_context(ctx, config, b, run_storage, /*needs_run=*/false, 0);
     const fp::ReductionSpec spec =
         bctx.accumulator.value_or(fp::AlgorithmId::kSuperaccumulator);
-    fp::visit_reduction<T>(
-        spec, [&](auto tag, auto acc_c, auto quantize) {
-          if constexpr (!decltype(tag)::traits.exact_merge) {
-            throw std::invalid_argument(
-                "sharded_bucketed_allreduce: reproducible path needs an "
-                "exact-merge accumulator (superaccumulator or binned)");
-          } else {
-            using A = typename decltype(acc_c)::type;
-            const Bucket& bucket = buckets[b];
-            for (std::size_t t = bucket.first_tensor;
-                 t < bucket.first_tensor + bucket.tensor_count; ++t) {
-              for (std::size_t i = 0; i < sizes[t]; ++i) {
-                typename decltype(tag)::template accumulator_t<A> total;
-                for (std::size_t r = 0; r < ranks; ++r) {
-                  typename decltype(tag)::template accumulator_t<A> local;
-                  for (const std::size_t s : of_rank[r]) {
-                    local.add(static_cast<A>(quantize(samples[s][t][i])));
-                  }
-                  total.merge(local);
-                }
-                result[t][i] = static_cast<T>(total.result());
-              }
-            }
-          }
-        });
+    if (!fp::traits_of(spec).exact_merge) {
+      throw std::invalid_argument(
+          "sharded_bucketed_allreduce: reproducible path needs an "
+          "exact-merge accumulator (superaccumulator or binned)");
+    }
+    // Merging the ranks' exact local states in rank order is one stream
+    // over every rank's samples in that order.
+    const fp::Fold<T>& fold = fp::Fold<T>::of(spec);
+    const Bucket& bucket = buckets[b];
+    std::vector<const T*> runs;
+    for (std::size_t t = bucket.first_tensor;
+         t < bucket.first_tensor + bucket.tensor_count; ++t) {
+      runs.clear();
+      for (const auto& ids : of_rank) append_runs(runs, samples, ids, t);
+      fold.sum_each(runs, sizes[t], result[t].data());
+    }
   };
   for_each_bucket(buckets.size(), ctx.pool, config.overlap, prepare,
                   reduce_bucket);

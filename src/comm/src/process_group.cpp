@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 #include "fpna/obs/recorder.hpp"
 
@@ -21,27 +22,18 @@ std::vector<T> exact_elementwise_allreduce(
     const collective::RankDataT<T>& contributions,
     const fp::ReductionSpec& spec) {
   collective::validate(contributions);
-  return fp::visit_reduction<T>(
-      spec, [&](auto tag, auto acc_c, auto quantize) -> std::vector<T> {
-        if constexpr (!decltype(tag)::traits.exact_merge) {
-          throw std::invalid_argument(
-              "reproducible allreduce: accumulator '" +
-              fp::AlgorithmRegistry::instance().at(decltype(tag)::id).name +
-              "' has no exact merge; choose superaccumulator or binned");
-        } else {
-          using A = typename decltype(acc_c)::type;
-          const std::size_t n = contributions.front().size();
-          std::vector<T> result(n, T{0});
-          for (std::size_t i = 0; i < n; ++i) {
-            typename decltype(tag)::template accumulator_t<A> acc;
-            for (const auto& rank : contributions) {
-              acc.add(static_cast<A>(quantize(rank[i])));
-            }
-            result[i] = static_cast<T>(acc.result());
-          }
-          return result;
-        }
-      });
+  if (!fp::traits_of(spec).exact_merge) {
+    throw std::invalid_argument(
+        "reproducible allreduce: accumulator '" +
+        fp::AlgorithmRegistry::instance().at(spec.algorithm).name +
+        "' has no exact merge; choose superaccumulator or binned");
+  }
+  // Element i's stream is rank 0's value, then rank 1's, ...
+  std::vector<const T*> runs;
+  for (const auto& rank : contributions) runs.push_back(rank.data());
+  std::vector<T> result(contributions.front().size());
+  fp::Fold<T>::of(spec).sum_each(runs, result.size(), result.data());
+  return result;
 }
 
 template std::vector<double> exact_elementwise_allreduce<double>(
@@ -288,7 +280,7 @@ auto as_words(std::span<Byte> payload) {
 /// each hop merges exactly and only the shard owner rounds, so the bits
 /// are those of the allgather wire's exact path on any schedule. The
 /// algorithm is pinned (wire_reproducible_spec), so only the spec's dtype
-/// axes are dispatched. Provenance fingerprints each message's words.
+/// axes apply. Provenance fingerprints each message's words.
 template <typename T>
 std::vector<T> state_reduce_scatter(Transport& transport,
                                     TrafficLedger& ledger,
@@ -300,41 +292,43 @@ std::vector<T> state_reduce_scatter(Transport& transport,
       recorder != nullptr ? fp::to_string(spec) : std::string();
   const std::size_t first = transport.first_rank();
   const std::size_t n = schedule.elements();
-  return fp::visit_dtypes<T>(
-      spec, [&](auto acc_c, auto quantize) -> std::vector<T> {
-        using A = typename decltype(acc_c)::type;
-        std::vector<fp::Superaccumulator> states(data.size() * n);
-        for (std::size_t k = 0; k < data.size(); ++k) {
-          for (std::size_t i = 0; i < n; ++i) {
-            states[k * n + i].add(
-                static_cast<double>(static_cast<A>(quantize(data[k][i]))));
-          }
+  std::vector<fp::Superaccumulator> states(data.size() * n);
+  std::vector<T> addends(n);
+  for (std::size_t k = 0; k < data.size(); ++k) {
+    // Each addend as the accumulate dtype sees it.
+    addends = data[k];
+    fp::round_to<T>(spec.storage, addends);
+    fp::round_to<T>(spec.accumulate, addends);
+    for (std::size_t i = 0; i < n; ++i) {
+      states[k * n + i].add(static_cast<double>(addends[i]));
+    }
+  }
+  run_messages(
+      transport, ledger, schedule, 0, schedule.reduce_message_count(),
+      kStateWords * sizeof(std::uint64_t),
+      [&](const Message& msg, std::span<std::byte> out) {
+        const auto words = as_words(out);
+        const fp::Superaccumulator* src =
+            &states[(msg.sender - first) * n + msg.range.begin];
+        for (std::size_t k = 0; k < msg.range.size(); ++k) {
+          src[k].serialize(words.subspan(k * kStateWords, kStateWords));
         }
-        run_messages(
-            transport, ledger, schedule, 0, schedule.reduce_message_count(),
-            kStateWords * sizeof(std::uint64_t),
-            [&](const Message& msg, std::span<std::byte> out) {
-              const auto words = as_words(out);
-              const fp::Superaccumulator* src =
-                  &states[(msg.sender - first) * n + msg.range.begin];
-              for (std::size_t k = 0; k < msg.range.size(); ++k) {
-                src[k].serialize(words.subspan(k * kStateWords, kStateWords));
-              }
-            },
-            [&](const Message& msg, std::span<const std::byte> in) {
-              const auto words = as_words(in);
-              fp::Superaccumulator* dst =
-                  &states[(msg.receiver - first) * n + msg.range.begin];
-              for (std::size_t k = 0; k < msg.range.size(); ++k) {
-                dst[k].add_wire(words.subspan(k * kStateWords, kStateWords));
-              }
-              record_wire_step(recorder, msg, label, words);
-            });
-        return owned_shards<T>(
-            transport, schedule, [&](std::size_t k, std::size_t i) {
-              return static_cast<T>(static_cast<A>(states[k * n + i].round()));
-            });
+      },
+      [&](const Message& msg, std::span<const std::byte> in) {
+        const auto words = as_words(in);
+        fp::Superaccumulator* dst =
+            &states[(msg.receiver - first) * n + msg.range.begin];
+        for (std::size_t k = 0; k < msg.range.size(); ++k) {
+          dst[k].add_wire(words.subspan(k * kStateWords, kStateWords));
+        }
+        record_wire_step(recorder, msg, label, words);
       });
+  const std::vector<double> exact = owned_shards<double>(
+      transport, schedule,
+      [&](std::size_t k, std::size_t i) { return states[k * n + i].round(); });
+  std::vector<T> result(exact.begin(), exact.end());
+  fp::round_to<T>(spec.accumulate, result);
+  return result;
 }
 
 template <typename T>

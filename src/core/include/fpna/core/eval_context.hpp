@@ -88,7 +88,7 @@ struct EvalContext {
   /// The full reduction spec in effect for kernels whose historic
   /// default is the native serial fold (i.e. all of them except noted
   /// special cases, which consult the optional directly). Dtype-aware
-  /// kernels dispatch on this via fp::visit_reduction.
+  /// kernels fold through fp::Fold<N>::of(reduction_in_effect()).
   fp::ReductionSpec reduction_in_effect() const noexcept {
     return accumulator.value_or(fp::ReductionSpec{});
   }

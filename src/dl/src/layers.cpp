@@ -5,7 +5,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/tensor/indexed_ops.hpp"
 #include "parallel_blocks.hpp"
 
@@ -88,24 +88,15 @@ void mean_rows_into(const Matrix& table, std::span<const std::int64_t> ids,
   }
   const float inv_deg = 1.0f / static_cast<float>(ids.size());
   const std::span<const float> t = table.data();
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        for (std::int64_t c = 0; c < cols; ++c) {
-          // index_add's fold: the zero destination seeds the stream (it
-          // counts as an element - pairwise's block boundaries depend on
-          // it), then the contributions in list order.
-          Acc acc;
-          acc.add(static_cast<A>(quantize(0.0f)));
-          for (const std::int64_t id : ids) {
-            acc.add(static_cast<A>(
-                quantize(t[static_cast<std::size_t>(id * cols + c)])));
-          }
-          out[static_cast<std::size_t>(c)] =
-              static_cast<float>(acc.result()) * inv_deg;
-        }
-      });
+  // index_add's fold, one stream per column: the zero destination (out,
+  // zeroed) is the stream's first element - pairwise's block boundaries
+  // depend on it - then the rows in list order.
+  std::fill(out.begin(), out.end(), 0.0f);
+  std::vector<const float*> runs{out.data()};
+  for (const std::int64_t id : ids) runs.push_back(t.data() + id * cols);
+  fp::Fold<float>::of(ctx.reduction_in_effect())
+      .sum_each(runs, out.size(), out.data());
+  for (float& v : out) v *= inv_deg;
 }
 
 Matrix mean_aggregate_backward(const Matrix& d_out, const Graph& graph,

@@ -7,7 +7,7 @@
 #include <span>
 #include <vector>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/thread_pool.hpp"
@@ -72,89 +72,38 @@ const Matrix& quantized_operand(const fp::ReductionSpec& spec,
                                 std::optional<Matrix>& store) {
   if (spec.storage != fp::Dtype::kBf16) return m;
   store.emplace(m);
-  const fp::QuantizeBf16 quantize;
-  for (float& v : store->vec()) v = quantize(v);
+  fp::round_to<float>(fp::Dtype::kBf16, store->vec());
   return *store;
 }
 
-/// visit_reduction over the fold axes only (algorithm, lanes, accumulate
-/// dtype): `f(tag, acc_c)`. The kernels that quantize their operands up
-/// front (quantized_operand) fold with the identity quantizer, so the
-/// storage axis does not multiply their instantiations.
-template <typename F>
-void visit_fold(fp::ReductionSpec spec, const F& f) {
+/// The fold table of the kernels that quantize their operands up front
+/// (quantized_operand): the storage axis is spent, so they fold with the
+/// identity quantizer.
+const fp::Fold<float>& operand_fold(fp::ReductionSpec spec) {
   spec.storage = fp::Dtype::kNative;
-  fp::visit_reduction<float>(
-      spec, [&](auto tag, auto acc_c, [[maybe_unused]] auto quantize) {
-        if constexpr (decltype(quantize)::is_identity) f(tag, acc_c);
-      });
-}
-
-/// This thread's scratch row of n accumulators, reused across calls: a
-/// row kernel allocates only when a row is wider than any this thread
-/// has folded before.
-template <typename Acc>
-std::span<Acc> scratch_row(std::int64_t n) {
-  thread_local std::vector<Acc> row;
-  const auto size = static_cast<std::size_t>(n);
-  if (row.size() < size) row.resize(size);
-  return {row.data(), size};
-}
-
-/// The one row fold behind matmul, matmul_transpose_a and linear_row:
-/// out[j] = sum over p in [p_begin, p_end) of x[x_first + p * x_stride]
-/// * w[p, j], for the n = row.size() output units of a row-major w with
-/// n columns. Unit j streams its products through row[j] (reset here) in
-/// ascending p, both operands passed through `quantize`, and p is skipped
-/// when the quantized x entry is zero - the sparsity skip every caller
-/// shares. Under the native serial spec (SerialAccumulator<float> from
-/// +0.0f, identity quantizer) this is the classic in-place `c += a * b`
-/// chain, bit for bit.
-template <typename Acc, typename Quant>
-void fold_row(std::span<const float> x, std::int64_t x_first,
-              std::int64_t x_stride, std::span<const float> w,
-              std::int64_t p_begin, std::int64_t p_end, Quant quantize,
-              std::span<Acc> row, std::span<float> out) {
-  using A = typename Acc::value_type;
-  const std::size_t n = row.size();
-  for (Acc& acc : row) acc = Acc{};
-  for (std::int64_t p = p_begin; p < p_end; ++p) {
-    const float av =
-        quantize(x[static_cast<std::size_t>(x_first + p * x_stride)]);
-    if (av == 0.0f) continue;
-    const std::span<const float> wrow =
-        w.subspan(static_cast<std::size_t>(p) * n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j].add(static_cast<A>(av * quantize(wrow[j])));
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = static_cast<float>(row[j].result());
-  }
+  return fp::Fold<float>::of(spec);
 }
 
 /// matmul restricted to inner indices [k_begin, k_end) of already
 /// storage-quantized operands: the building block of both matmul (full
 /// range) and matmul_split_k (one chunk per call). Row-blocked over the
-/// output; each row is one fold_row.
+/// output; each row is one fold_row. Under the native serial spec this
+/// is the classic in-place `c += a * b` chain, bit for bit.
 void matmul_k_range(Matrix& c, const Matrix& qa, const Matrix& qb,
                     std::int64_t k_begin, std::int64_t k_end,
                     const core::EvalContext& ctx) {
   const std::int64_t m = qa.size(0), k = qa.size(1), n = qb.size(1);
   const std::span<const float> a = qa.data(), b = qb.data();
   const std::span<float> out = c.data();
-  visit_fold(ctx.reduction_in_effect(), [&](auto tag, auto acc_c) {
-    using Acc = typename decltype(tag)::template accumulator_t<
-        typename decltype(acc_c)::type>;
-    for_each_row_block(ctx, m, (k_end - k_begin) * n,
-                       [&](std::int64_t r0, std::int64_t r1) {
-      const std::span<Acc> row = scratch_row<Acc>(n);
-      for (std::int64_t i = r0; i < r1; ++i) {
-        fold_row(a, i * k, 1, b, k_begin, k_end, fp::QuantizeNone{}, row,
-                 out.subspan(static_cast<std::size_t>(i * n)));
-      }
-    }, "dl.matmul.block");
-  });
+  const fp::Fold<float>& fold = operand_fold(ctx.reduction_in_effect());
+  for_each_row_block(ctx, m, (k_end - k_begin) * n,
+                     [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0; i < r1; ++i) {
+      fold.fold_row(a, i * k, 1, b, k_begin, k_end,
+                    out.subspan(static_cast<std::size_t>(i * n),
+                                static_cast<std::size_t>(n)));
+    }
+  }, "dl.matmul.block");
 }
 
 }  // namespace
@@ -211,17 +160,14 @@ Matrix matmul_transpose_a(const Matrix& a, const Matrix& b,
   const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
   const std::span<const float> qb = quantized_operand(spec, b, qb_store).data();
   const std::span<float> out = c.data();
-  visit_fold(spec, [&](auto tag, auto acc_c) {
-    using Acc = typename decltype(tag)::template accumulator_t<
-        typename decltype(acc_c)::type>;
-    for_each_row_block(ctx, k, m * n, [&](std::int64_t p0, std::int64_t p1) {
-      const std::span<Acc> row = scratch_row<Acc>(n);
-      for (std::int64_t p = p0; p < p1; ++p) {
-        fold_row(qa, p, k, qb, 0, m, fp::QuantizeNone{}, row,
-                 out.subspan(static_cast<std::size_t>(p * n)));
-      }
-    }, "dl.matmul_transpose_a.block");
-  });
+  const fp::Fold<float>& fold = operand_fold(spec);
+  for_each_row_block(ctx, k, m * n, [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      fold.fold_row(qa, p, k, qb, 0, m,
+                    out.subspan(static_cast<std::size_t>(p * n),
+                                static_cast<std::size_t>(n)));
+    }
+  }, "dl.matmul_transpose_a.block");
   return c;
 }
 
@@ -240,23 +186,14 @@ Matrix matmul_transpose_b(const Matrix& a, const Matrix& b,
   const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
   const std::span<const float> qb = quantized_operand(spec, b, qb_store).data();
   const std::span<float> out = c.data();
-  visit_fold(spec, [&](auto tag, auto acc_c) {
-    using A = typename decltype(acc_c)::type;
-    using Acc = typename decltype(tag)::template accumulator_t<A>;
-    for_each_row_block(ctx, m, k * n, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t i = r0; i < r1; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          Acc acc;
-          for (std::int64_t p = 0; p < k; ++p) {
-            acc.add(static_cast<A>(qa[static_cast<std::size_t>(i * k + p)] *
-                                   qb[static_cast<std::size_t>(j * k + p)]));
-          }
-          out[static_cast<std::size_t>(i * n + j)] =
-              static_cast<float>(acc.result());
-        }
-      }
-    }, "dl.matmul_transpose_b.block");
-  });
+  const fp::Fold<float>& fold = operand_fold(spec);
+  for_each_row_block(ctx, m, k * n, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0; i < r1; ++i) {
+      fold.dot_row(qa.data() + i * k, qb.data(), k,
+                   out.subspan(static_cast<std::size_t>(i * n),
+                               static_cast<std::size_t>(n)));
+    }
+  }, "dl.matmul_transpose_b.block");
   return c;
 }
 
@@ -411,18 +348,11 @@ Matrix column_sums(const Matrix& a, const core::EvalContext& ctx) {
   std::optional<Matrix> qa_store;
   const std::span<const float> qa = quantized_operand(spec, a, qa_store).data();
   const std::span<float> sums = out.data();
-  visit_fold(spec, [&](auto tag, auto acc_c) {
-    using A = typename decltype(acc_c)::type;
-    using Acc = typename decltype(tag)::template accumulator_t<A>;
-    for_each_row_block(ctx, n, m, [&](std::int64_t j0, std::int64_t j1) {
-      for (std::int64_t j = j0; j < j1; ++j) {
-        Acc acc;
-        for (std::int64_t i = 0; i < m; ++i) {
-          acc.add(static_cast<A>(qa[static_cast<std::size_t>(i * n + j)]));
-        }
-        sums[static_cast<std::size_t>(j)] = static_cast<float>(acc.result());
-      }
-    });
+  const fp::Fold<float>& fold = operand_fold(spec);
+  for_each_row_block(ctx, n, m, [&](std::int64_t j0, std::int64_t j1) {
+    for (std::int64_t j = j0; j < j1; ++j) {
+      sums[static_cast<std::size_t>(j)] = fold.sum_run(qa.data() + j, m, n);
+    }
   });
   return out;
 }
@@ -438,13 +368,8 @@ void linear_row(std::span<const float> x, const Matrix& weight,
   // matmul's fold for one row. The operands are quantized per MAC here
   // rather than copied: a copy of the weight per request would cost more
   // than the row.
-  fp::visit_reduction<float>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using Acc = typename decltype(tag)::template accumulator_t<
-            typename decltype(acc_c)::type>;
-        fold_row(x, 0, 1, weight.data(), 0, k, quantize, scratch_row<Acc>(n),
-                 out);
-      });
+  fp::Fold<float>::of(ctx.reduction_in_effect())
+      .fold_row(x, 0, 1, weight.data(), 0, k, out);
 }
 
 Matrix gather_rows(const Matrix& x, const std::vector<std::int64_t>& indices,

@@ -1,41 +1,30 @@
 #pragma once
-// The unified accumulation layer: every reduction in the toolkit - the
-// serial kernels in this module, the CPU/GPU reductions in src/reduce, the
-// collectives in src/collective, the tensor ops in src/tensor and the DL
-// trainer in src/dl - selects its inner accumulation algorithm from one
-// registry instead of a per-layer switch table.
+// The unified accumulation layer: the registry of accumulation
+// algorithms every reduction in the toolkit selects from, and the
+// streaming accumulator types behind it.
 //
 // Two complementary interfaces per algorithm:
 //
-//  * a one-shot `reduce(span)` that reproduces the historic free functions
-//    of summation.hpp bit for bit (this is what the registry's function
-//    pointer calls, so existing certified values never move);
+//  * a one-shot reduction that reproduces the historic free functions of
+//    summation.hpp bit for bit (the registry's function pointer, and
+//    fp::reduce for the native double spec);
 //  * a stateful Accumulator type for element-at-a-time streaming and
 //    chunk-merge use (thread partials, block partials, per-destination
 //    scatter reductions). Streaming state is merged with `merge`, which is
 //    exact for the reproducible algorithms and deterministic for all.
 //
-// Dispatch is a static visitor (`visit_algorithm`): the switch happens once
-// per reduction call and hands the hot loop a concrete accumulator type, so
-// no per-element indirect call ever appears in the inner loop.
-//
 // The registry is dtype-polymorphic (see reduction_spec.hpp): every
-// algorithm instantiates at double, float and the software bf16, an Entry
-// carries one-shot surfaces for the canonical dtype combinations (f64
-// bitwise-identical to the historic free functions; f32/f32 and
-// bf16-storage/f32-accumulate for the DL settings), and `visit_reduction`
-// extends the static-visitor discipline to a full ReductionSpec - the
-// callback receives the algorithm tag, the accumulate-dtype constant and
-// a monomorphic storage quantizer.
+// algorithm instantiates at double, float and the software bf16, and the
+// SIMD lane axis (simd.hpp) wraps any of them: `tags::Simd<Tag, L>` swaps
+// the algorithm's accumulator for the L-lane LaneBlockedAccumulator.
 //
-// The SIMD lane axis (see simd.hpp and reduction_spec.hpp's grammar)
-// composes over all of the above: `tags::Simd<Tag, L>` wraps any base
-// algorithm tag so its accumulator_t is the L-lane LaneBlockedAccumulator,
-// and `visit_lane_algorithm` / `visit_reduction` monomorphise the lane
-// count exactly like the algorithm and the dtypes - so every call site
-// that instantiates `tag::accumulator_t` (cpu_sum chunk folds, the dense
-// dl kernels, the tensor scatter reductions, the collective wire) gets
-// lane-blocked variants with no changes of its own.
+// The static visitors below (`visit_algorithm`, `visit_lanes`,
+// `visit_dtypes`) turn a ReductionSpec into concrete types. They are
+// instantiated in one place: the fold table (fold.hpp), compiled once per
+// algorithm in src/fp/src/fold_<algorithm>.cpp. Kernels outside this
+// module never name an accumulator type - they call the table's
+// operations, one indirect call per chunk, row or destination range, and
+// the per-element loop runs inside the table.
 
 #include <array>
 #include <concepts>
@@ -51,6 +40,7 @@
 #include "fpna/fp/bf16.hpp"
 #include "fpna/fp/binned_sum.hpp"
 #include "fpna/fp/double_double.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/reduction_spec.hpp"
 #include "fpna/fp/simd.hpp"
 #include "fpna/fp/summation.hpp"
@@ -339,8 +329,7 @@ class BinnedAccumulator {
   using value_type = T;
   void add(T x) { buffer_.push_back(static_cast<double>(x)); }
   void add(std::span<const T> values) {
-    buffer_.reserve(buffer_.size() + values.size());
-    for (const T x : values) buffer_.push_back(static_cast<double>(x));
+    buffer_.insert(buffer_.end(), values.begin(), values.end());
   }
   void merge(const BinnedAccumulator& other) {
     buffer_.insert(buffer_.end(), other.buffer_.begin(), other.buffer_.end());
@@ -505,7 +494,7 @@ template <typename Base, std::size_t L>
 class LaneBlockedAccumulator {
   static_assert(L >= 2,
                 "LaneBlockedAccumulator<Base, 1> is Base itself; "
-                "visit_lane_algorithm hands lanes == 1 the base tag");
+                "visit_lanes hands lanes == 1 the base tag");
 
  public:
   using value_type = typename Base::value_type;
@@ -699,52 +688,32 @@ decltype(auto) visit_algorithm(AlgorithmId id, F&& f) {
       "visit_algorithm: AlgorithmId outside the registered enum");
 }
 
-/// Lane dispatch composed over visit_algorithm: lanes <= 1 hands `f` the
-/// base tag itself (so `@simd1` IS the scalar algorithm, bitwise), other
-/// supported counts the tags::Simd wrapper. The set is deliberately
-/// closed (kSimdLaneCounts) for the same reason visit_algorithm's switch
-/// is: a lane count the visitor does not know must throw, never silently
-/// run a different re-association. The spec parser enforces the same set,
-/// so this throw only fires for programmatically built specs.
-template <typename F>
-decltype(auto) visit_lane_algorithm(AlgorithmId id, std::size_t lanes, F&& f) {
-  return visit_algorithm(id, [&](auto tag) -> decltype(auto) {
-    using Tag = decltype(tag);
-    switch (lanes) {
-      case 0:
-      case 1: return f(tag);
-      case 4: return f(tags::Simd<Tag, 4>{});
-      case 8: return f(tags::Simd<Tag, 8>{});
-      case 16: return f(tags::Simd<Tag, 16>{});
-      default: break;
-    }
-    throw std::invalid_argument(
-        "visit_lane_algorithm: unsupported SIMD lane count " +
-        std::to_string(lanes) + " (supported: 1, 4, 8, 16)");
-  });
-}
-
-/// One-shot reduction through the selected algorithm. For double this is
-/// bitwise identical to the historic summation.hpp free functions; other
-/// element types stream through the algorithm's accumulator in T precision
-/// (matching how a device kernel would accumulate that dtype).
-template <typename T = double>
-T reduce(AlgorithmId id, std::span<const T> values) {
-  return visit_algorithm(id, [&](auto tag) -> T {
-    if constexpr (std::same_as<T, double>) {
-      return decltype(tag)::reduce(values);
-    } else {
-      typename decltype(tag)::template accumulator_t<T> acc;
-      acc.add(values);
-      return acc.result();
-    }
-  });
+/// Lane dispatch for one algorithm tag: lanes <= 1 hands `f` the tag
+/// itself (so `@simd1` IS the scalar algorithm, bitwise), other supported
+/// counts the tags::Simd wrapper. The set is deliberately closed
+/// (kSimdLaneCounts) for the same reason visit_algorithm's switch is: a
+/// lane count the visitor does not know must throw, never silently run a
+/// different re-association. The spec parser enforces the same set, so
+/// this throw only fires for programmatically built specs.
+template <typename Tag, typename F>
+decltype(auto) visit_lanes(std::size_t lanes, F&& f) {
+  switch (lanes) {
+    case 0:
+    case 1: return f(Tag{});
+    case 4: return f(tags::Simd<Tag, 4>{});
+    case 8: return f(tags::Simd<Tag, 8>{});
+    case 16: return f(tags::Simd<Tag, 16>{});
+    default: break;
+  }
+  throw std::invalid_argument(
+      "unsupported SIMD lane count " +
+      std::to_string(lanes) + " (supported: 1, 4, 8, 16)");
 }
 
 // --------------------------------------------- dtype-polymorphic visit --
 
 /// Type constant naming a concrete accumulate dtype inside
-/// visit_reduction's callback.
+/// visit_dtypes' callback.
 template <typename T>
 struct dtype_c {
   using type = T;
@@ -816,10 +785,11 @@ decltype(auto) visit_accumulate(Dtype accumulate, F&& f) {
 
 }  // namespace detail
 
-/// The dtype axes of a ReductionSpec alone: `f(acc_c, quantize)` as in
-/// visit_reduction, for callers whose algorithm is fixed by construction
-/// (comm's superaccumulator wire codec), so no algorithm x lanes copies
-/// instantiate.
+/// The dtype axes of a ReductionSpec: `f(acc_c, quantize)` runs
+/// monomorphised - `acc_c` a dtype_c naming the accumulate dtype,
+/// `quantize` the storage transform to wrap around every addend/operand.
+/// N is the calling kernel's native element type; it resolves
+/// Dtype::kNative on both axes.
 template <typename N, typename F>
 decltype(auto) visit_dtypes(const ReductionSpec& spec, F&& f) {
   return detail::visit_storage<N>(
@@ -827,59 +797,6 @@ decltype(auto) visit_dtypes(const ReductionSpec& spec, F&& f) {
         return detail::visit_accumulate<N>(
             spec.accumulate,
             [&](auto acc_c) -> decltype(auto) { return f(acc_c, quantize); });
-      });
-}
-
-/// Static visitor over the full ReductionSpec: one switch chain per
-/// reduction *call*, then `f(tag, acc_c, quantize)` runs fully
-/// monomorphised - `tag` as in visit_algorithm (a tags::Simd wrapper when
-/// the spec is lane-blocked, so accumulator_t is already the lane-blocked
-/// type and call sites need no lane awareness of their own), `acc_c` a
-/// dtype_c naming the accumulate dtype (instantiate the tag's
-/// accumulator_t at `typename decltype(acc_c)::type`), `quantize` the
-/// storage transform to wrap around every addend/operand. N is the
-/// calling kernel's native element type; it resolves Dtype::kNative on
-/// both axes.
-template <typename N, typename F>
-decltype(auto) visit_reduction(const ReductionSpec& spec, F&& f) {
-  return visit_lane_algorithm(
-      spec.algorithm, spec.lanes, [&](auto tag) -> decltype(auto) {
-        return visit_dtypes<N>(
-            spec, [&](auto acc_c, auto quantize) -> decltype(auto) {
-              return f(tag, acc_c, quantize);
-            });
-      });
-}
-
-/// One-shot dtype-polymorphic reduction. A scalar (lanes == 1) spec that
-/// resolves to the kernel-native dtypes routes through the scalar
-/// reduce() above, so double results stay bitwise identical to the
-/// historic free functions (the equality below fails for lane-blocked
-/// specs because the right-hand side carries lanes == 1);
-/// a dtype-qualified spec quantizes every addend to the storage dtype and
-/// streams it through the algorithm's accumulator instantiated at the
-/// accumulate dtype, widening the rounded result back to T (exact, since
-/// every narrower value is representable in T).
-template <typename T = double>
-T reduce(const ReductionSpec& spec, std::span<const T> values) {
-  if (spec.resolved(dtype_of_v<T>) ==
-      ReductionSpec{spec.algorithm, dtype_of_v<T>, dtype_of_v<T>}) {
-    return reduce<T>(spec.algorithm, values);
-  }
-  return visit_reduction<T>(
-      spec, [&](auto tag, auto acc_c, auto quantize) -> T {
-        using A = typename decltype(acc_c)::type;
-        typename decltype(tag)::template accumulator_t<A> acc;
-        if constexpr (std::same_as<A, T> &&
-                      decltype(quantize)::is_identity) {
-          // Bulk ingestion - defined as the same element loop for every
-          // accumulator, so bits never move; lane-blocked states take
-          // their intrinsics fast path here.
-          acc.add(values);
-        } else {
-          for (const T x : values) acc.add(static_cast<A>(quantize(x)));
-        }
-        return static_cast<T>(acc.result());
       });
 }
 
@@ -895,15 +812,16 @@ inline const AlgorithmTraits& traits_of(const ReductionSpec& spec) {
 // ------------------------------------------------------------- registry --
 
 /// String/enum-keyed catalogue of every accumulation algorithm. Built-ins
-/// self-register (see accumulator.cpp). Adding an algorithm is three
+/// self-register (see accumulator.cpp). Adding an algorithm is four
 /// mechanical steps in this module: (1) a new AlgorithmId enum value in
 /// algorithm_id.hpp, (2) a tag + visit_algorithm case here (the visitor
 /// is a deliberately closed set so an id it does not know throws instead
 /// of silently running the wrong algorithm), (3) one
-/// FPNA_REGISTER_ACCUMULATOR line in accumulator.cpp - after which the
-/// algorithm appears in every name-driven surface (bench tables,
-/// --algorithm flags, registry sums) and every streaming reduction with
-/// no changes outside src/fp.
+/// FPNA_REGISTER_ACCUMULATOR line in accumulator.cpp, (4) the algorithm's
+/// fold TU, src/fp/src/fold_<algorithm>.cpp, holding one
+/// FPNA_FOLD_TABLES(<tag>) line - after which the algorithm appears in
+/// every name-driven surface (bench tables, --algorithm flags, registry
+/// sums) and every reduction kernel with no changes outside src/fp.
 class AlgorithmRegistry {
  public:
   struct Entry {
@@ -914,11 +832,6 @@ class AlgorithmRegistry {
     /// f64 storage / f64 accumulate one-shot reduction (bitwise = the
     /// historic free function; this surface's values never move).
     double (*reduce)(std::span<const double>) = nullptr;
-    /// f32 storage / f32 accumulate: the framework-FP32 kernel setting.
-    float (*reduce_f32)(std::span<const float>) = nullptr;
-    /// bf16 storage / f32 accumulate: the tensor-core mixed-precision
-    /// setting the paper's DL experiments run under.
-    float (*reduce_bf16_f32)(std::span<const bf16>) = nullptr;
   };
 
   static AlgorithmRegistry& instance();
@@ -966,23 +879,6 @@ struct AlgorithmRegistrar {
   explicit AlgorithmRegistrar(AlgorithmRegistry::Entry entry);
 };
 
-/// Tag-generic fillers for the registry's per-dtype reduce surfaces: the
-/// algorithm's streaming accumulator instantiated at the accumulate
-/// dtype, addends entering in storage precision.
-template <typename Tag>
-float tag_reduce_f32(std::span<const float> values) {
-  typename Tag::template accumulator_t<float> acc;
-  acc.add(values);
-  return acc.result();
-}
-
-template <typename Tag>
-float tag_reduce_bf16_f32(std::span<const bf16> values) {
-  typename Tag::template accumulator_t<float> acc;
-  for (const bf16 x : values) acc.add(static_cast<float>(x));
-  return acc.result();
-}
-
 }  // namespace detail
 
 /// Self-registration hook: expands to a namespace-scope registrar whose
@@ -995,7 +891,6 @@ float tag_reduce_bf16_f32(std::span<const bf16> values) {
   static const ::fpna::fp::detail::AlgorithmRegistrar                         \
       fpna_accumulator_registrar_##token{::fpna::fp::AlgorithmRegistry::Entry{\
           cli_name, tag_type::id, description_str, tag_type::traits,          \
-          &tag_type::reduce, &::fpna::fp::detail::tag_reduce_f32<tag_type>,   \
-          &::fpna::fp::detail::tag_reduce_bf16_f32<tag_type>}};
+          &tag_type::reduce}};
 
 }  // namespace fpna::fp

@@ -6,6 +6,7 @@
 // name a dtype without compiling the whole registry.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -31,6 +32,12 @@ Dtype parse_dtype(std::string_view name);
 
 /// The valid keys, for error messages and --help text.
 std::string dtype_keys();
+
+/// Rounds every value to `dtype` in place: a no-op for kNative and for a
+/// dtype at least as wide as T; bf16 rounds through binary32, as its
+/// conversions do everywhere in the registry.
+template <typename T>
+void round_to(Dtype dtype, std::span<T> values);
 
 /// The Dtype naming a concrete element type (unspecialised: no mapping).
 template <typename T>

@@ -32,7 +32,7 @@
 namespace fpna::fp {
 
 /// The valid ReductionSpec lane counts - the closed set the spec grammar
-/// accepts and visit_lane_algorithm monomorphises. 1 is the scalar
+/// accepts and visit_lanes monomorphises. 1 is the scalar
 /// algorithm itself; {4, 8, 16} are the register-shaped blockings
 /// (AVX2 holds 4 f64 / 8 f32 per register, AVX-512 twice that).
 inline constexpr std::array<std::size_t, 4> kSimdLaneCounts{1, 4, 8, 16};

@@ -1,6 +1,9 @@
 #include "fpna/fp/dtype.hpp"
 
 #include <stdexcept>
+#include <type_traits>
+
+#include "fpna/fp/bf16.hpp"
 
 namespace fpna::fp {
 
@@ -26,5 +29,19 @@ Dtype parse_dtype(std::string_view name) {
   throw std::invalid_argument("unknown dtype '" + std::string(name) +
                               "'; valid: " + dtype_keys());
 }
+
+template <typename T>
+void round_to(Dtype dtype, std::span<T> values) {
+  if (dtype == Dtype::kBf16) {
+    for (T& v : values) {
+      v = static_cast<T>(static_cast<float>(bf16(static_cast<float>(v))));
+    }
+  } else if (dtype == Dtype::kF32 && std::is_same_v<T, double>) {
+    for (T& v : values) v = static_cast<T>(static_cast<float>(v));
+  }
+}
+
+template void round_to<float>(Dtype, std::span<float>);
+template void round_to<double>(Dtype, std::span<double>);
 
 }  // namespace fpna::fp

@@ -1,0 +1,3 @@
+#include "fold_impl.hpp"
+
+FPNA_FOLD_TABLES(Klein)

@@ -1,6 +1,9 @@
 #include "fpna/reduce/block_sum.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "fpna/fp/fold.hpp"
 
 namespace fpna::reduce {
 
@@ -23,26 +26,22 @@ double block_partial_sum(std::span<const double> data, std::size_t block_id,
     throw std::invalid_argument("block_partial_sum: empty launch");
   }
   const std::size_t stride = nt * nb;
-  // Each thread's grid-stride stream runs at the spec's accumulate dtype
-  // over storage-quantized elements; the rounded thread values then meet
-  // in the block's double halving tree exactly as before (the tree models
-  // the shared-memory combine, which on real hardware is not dtype-
-  // selectable per element).
-  return fp::visit_reduction<double>(
-      accumulator, [&](auto tag, auto acc_c, auto quantize) -> double {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        std::vector<double> thread_vals(nt, 0.0);
-        for (std::size_t t = 0; t < nt; ++t) {
-          Acc acc;
-          for (std::size_t i = block_id * nt + t; i < data.size();
-               i += stride) {
-            acc.add(static_cast<A>(quantize(data[i])));
-          }
-          thread_vals[t] = static_cast<double>(acc.result());
-        }
-        return tree_sum(thread_vals);
-      });
+  // Thread t's grid-stride stream, data[block_id * nt + t + k * stride]
+  // for k = 0, 1, ..., runs at the spec's accumulate dtype over
+  // storage-quantized elements in its own state: row k of the block is nt
+  // contiguous elements (the last row may be short). The rounded thread
+  // values then meet in the block's double halving tree exactly as before
+  // (the tree models the shared-memory combine, which on real hardware is
+  // not dtype-selectable per element).
+  const fp::Fold<double>& fold = fp::Fold<double>::of(accumulator);
+  fp::FoldStates<double> threads(fold, nt);
+  for (std::size_t row = block_id * nt; row < data.size(); row += stride) {
+    fold.add_each(threads[0], data.data() + row,
+                  std::min(nt, data.size() - row));
+  }
+  std::vector<double> thread_vals(nt, 0.0);
+  fold.results(threads[0], thread_vals.data(), nt);
+  return tree_sum(thread_vals);
 }
 
 std::vector<double> all_block_partials(std::span<const double> data,

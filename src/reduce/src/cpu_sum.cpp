@@ -5,23 +5,13 @@
 #include <vector>
 
 #include "fpna/core/chunking.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/permutation.hpp"
 
 namespace fpna::reduce {
 
 namespace {
-
-/// Fingerprint of one partial's current value (widened to double - exact
-/// for every storage dtype in the registry). Read-only on the
-/// accumulator: tracing can never move bits.
-template <typename Acc>
-std::uint64_t partial_bits(const Acc& partial) {
-  obs::Fingerprint print;
-  print.feed(static_cast<double>(partial.result()));
-  return print.value();
-}
 
 /// Static chunk boundaries, OpenMP static-schedule style. The rule
 /// itself lives in core/chunking.hpp (shared with collective's shard
@@ -35,98 +25,14 @@ std::vector<std::pair<std::size_t, std::size_t>> static_chunks(
   return core::even_chunks(n, chunks);
 }
 
-/// Real-thread execution on ctx.pool: by default (and whenever
-/// determinism is in effect) the per-chunk accumulator states merge in
-/// index order after a barrier. Merging in OS completion order under a
-/// mutex - the genuine non-determinism the paper's Listing 2 exhibits -
-/// is opt-in: the context must carry a run identity or explicitly set
-/// deterministic_override = false (OS scheduling needs no entropy source,
-/// so cpu_sum_threads opts in via the override). `num_threads` fixes the
-/// chunk boundaries - and therefore the bits for non-exact-merge
-/// accumulators - independently of how many workers the pool happens to
-/// have.
-/// One chunk's partial: every addend enters in storage precision
-/// (`quantize`), the accumulator runs at the spec's accumulate dtype. The
-/// native spec (identity quantize, double accumulate) reproduces the
-/// historic span add bit for bit - add(span) is defined as the same
-/// element loop.
-template <typename Acc, typename Quant>
-void add_chunk(Acc& acc, std::span<const double> chunk, Quant quantize) {
-  using A = typename Acc::value_type;
-  if constexpr (Quant::is_identity && std::same_as<A, double>) {
-    // Bulk add: defined as the same element loop for every accumulator,
-    // and the entry point where lane-blocked accumulators engage their
-    // intrinsics fast path (bitwise-certified against that loop).
-    acc.add(chunk);
-  } else {
-    for (const double x : chunk) acc.add(static_cast<A>(quantize(x)));
-  }
-}
-
-template <typename Acc, typename Quant>
-double pool_sum(std::span<const double> data, const core::EvalContext& ctx,
-                std::size_t num_threads, Quant quantize) {
-  util::ThreadPool& pool = *ctx.pool;
-  const auto ranges = static_chunks(data.size(), num_threads);
-
-  // Chunk provenance: workers drop each partial's fingerprint into its
-  // pre-sized slot; the *calling* thread emits them in chunk order after
-  // the barrier, so per-thread provenance seq is pool-schedule-invariant.
-  obs::Recorder* recorder = ctx.recorder;
-  std::vector<std::uint64_t> chunk_bits(recorder != nullptr ? ranges.size()
-                                                            : 0);
-
-  const bool os_completion_order =
-      !ctx.deterministic_in_effect() &&
-      (ctx.run != nullptr || ctx.deterministic_override.has_value());
-  double result = 0.0;
-  if (!os_completion_order) {
-    std::vector<Acc> partials(ranges.size());
-    pool.parallel_for(
-        ranges.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t c = begin; c < end; ++c) {
-            const auto [lo, hi] = ranges[c];
-            add_chunk(partials[c], data.subspan(lo, hi - lo), quantize);
-          }
-        },
-        ranges.size());
-    Acc total;
-    for (const Acc& partial : partials) total.merge(partial);
-    if (recorder != nullptr) {
-      for (std::size_t c = 0; c < ranges.size(); ++c) {
-        chunk_bits[c] = partial_bits(partials[c]);
-      }
-    }
-    result = static_cast<double>(total.result());
-  } else {
-    Acc total;
-    std::mutex mutex;
-    pool.parallel_for(
-        ranges.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t c = begin; c < end; ++c) {
-            const auto [lo, hi] = ranges[c];
-            Acc partial;
-            add_chunk(partial, data.subspan(lo, hi - lo), quantize);
-            if (recorder != nullptr) chunk_bits[c] = partial_bits(partial);
-            const std::lock_guard lock(mutex);
-            total.merge(partial);  // merge in OS completion order
-          }
-        },
-        ranges.size());
-    result = static_cast<double>(total.result());
-  }
-
-  if (recorder != nullptr) {
-    const std::string spec = fp::to_string(ctx.reduction_in_effect());
-    for (std::size_t c = 0; c < ranges.size(); ++c) {
-      recorder->provenance({"reduce.cpu_sum", "chunk",
-                            static_cast<std::int64_t>(c), -1, spec,
-                            chunk_bits[c], ranges[c].second - ranges[c].first});
-    }
-  }
-  return result;
+/// Fingerprint of one partial's current value (read-only on the state:
+/// tracing can never move bits).
+std::uint64_t partial_bits(const fp::Fold<double>& fold, const void* partial) {
+  double value = 0.0;
+  fold.results(partial, &value, 1);
+  obs::Fingerprint print;
+  print.feed(value);
+  return print.value();
 }
 
 }  // namespace
@@ -144,51 +50,85 @@ double cpu_sum(std::span<const double> data, const core::EvalContext& ctx,
         .add(data.size());
   }
 
-  const double result = fp::visit_reduction<double>(
-      ctx.reduction_in_effect(),
-      [&](auto tag, auto acc_c, auto quantize) -> double {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        if (ctx.pool != nullptr) {
-          return pool_sum<Acc>(data, ctx, num_threads, quantize);
-        }
+  // One partial per chunk, every addend entering in storage precision and
+  // the state running at the spec's accumulate dtype, then the total.
+  // `num_threads` fixes the chunk boundaries - and therefore the bits for
+  // non-exact-merge accumulators - independently of how many workers a
+  // pool happens to have.
+  const fp::Fold<double>& fold =
+      fp::Fold<double>::of(ctx.reduction_in_effect());
+  const auto ranges = static_chunks(data.size(), num_threads);
+  fp::FoldStates<double> states(fold, ranges.size());
+  fp::FoldStates<double> totals(fold, 1);
+  void* total = totals[0];
+  // Chunk provenance: the partials' fingerprints, emitted from the
+  // calling thread in chunk order, so per-thread provenance seq is
+  // pool-schedule-invariant.
+  std::vector<std::uint64_t> chunk_bits(
+      ctx.recorder != nullptr ? ranges.size() : 0);
+  const auto add_chunk = [&](std::size_t c) {
+    const auto [begin, end] = ranges[c];
+    fold.add_run(states[c], data.data() + begin, end - begin, 1);
+  };
 
-        const auto ranges = static_chunks(data.size(), num_threads);
-        std::vector<Acc> partials(ranges.size());
-        for (std::size_t c = 0; c < ranges.size(); ++c) {
-          const auto [begin, end] = ranges[c];
-          add_chunk(partials[c], data.subspan(begin, end - begin), quantize);
-        }
-        if (ctx.recorder != nullptr) {
-          const std::string spec = fp::to_string(ctx.reduction_in_effect());
-          for (std::size_t c = 0; c < ranges.size(); ++c) {
-            ctx.recorder->provenance(
-                {"reduce.cpu_sum", "chunk", static_cast<std::int64_t>(c), -1,
-                 spec, partial_bits(partials[c]),
-                 ranges[c].second - ranges[c].first});
+  // On ctx.pool the partials merge in index order after a barrier by
+  // default (and whenever determinism is in effect). Merging in OS
+  // completion order under a mutex - the genuine non-determinism the
+  // paper's Listing 2 exhibits - is opt-in: the context must carry a run
+  // identity or explicitly set deterministic_override = false (OS
+  // scheduling needs no entropy source, so cpu_sum_threads opts in via
+  // the override).
+  const bool os_completion_order =
+      ctx.pool != nullptr && !ctx.deterministic_in_effect() &&
+      (ctx.run != nullptr || ctx.deterministic_override.has_value());
+  if (ctx.pool == nullptr) {
+    for (std::size_t c = 0; c < ranges.size(); ++c) add_chunk(c);
+  } else {
+    std::mutex mutex;
+    ctx.pool->parallel_for(
+        ranges.size(),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t c = begin; c < end; ++c) {
+            add_chunk(c);
+            if (!os_completion_order) continue;
+            if (!chunk_bits.empty()) {
+              chunk_bits[c] = partial_bits(fold, states[c]);
+            }
+            const std::lock_guard lock(mutex);
+            fold.merge(total, states[c], 1);
           }
-        }
-
-        // Combination happens in chunk-index order unless the context
-        // selects the non-deterministic path, in which case the completion
-        // order is drawn from the run (same stream the seed's unordered
-        // sum used).
-        std::vector<std::size_t> order(ranges.size());
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        if (ctx.nondeterministic()) {
-          auto rng = ctx.run->fork(0xCB);
-          util::shuffle(order, rng);
-        }
-        Acc total;
-        for (const std::size_t c : order) total.merge(partials[c]);
-        return static_cast<double>(total.result());
-      });
+        },
+        ranges.size());
+  }
+  if (!os_completion_order) {
+    // Chunk-index order, unless the inline path runs non-deterministic:
+    // then the completion order is drawn from the run (same stream the
+    // seed's unordered sum used).
+    std::vector<std::size_t> order(ranges.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (ctx.nondeterministic()) {
+      auto rng = ctx.run->fork(0xCB);
+      util::shuffle(order, rng);
+    }
+    for (const std::size_t c : order) fold.merge(total, states[c], 1);
+    for (std::size_t c = 0; c < chunk_bits.size(); ++c) {
+      chunk_bits[c] = partial_bits(fold, states[c]);
+    }
+  }
+  double result = 0.0;
+  fold.results(total, &result, 1);
 
   if (ctx.recorder != nullptr) {
+    const std::string spec = fp::to_string(ctx.reduction_in_effect());
+    for (std::size_t c = 0; c < ranges.size(); ++c) {
+      ctx.recorder->provenance({"reduce.cpu_sum", "chunk",
+                                static_cast<std::int64_t>(c), -1, spec,
+                                chunk_bits[c],
+                                ranges[c].second - ranges[c].first});
+    }
     obs::Fingerprint print;
     print.feed(result);
-    ctx.recorder->provenance({"reduce.cpu_sum", "result", -1, -1,
-                              fp::to_string(ctx.reduction_in_effect()),
+    ctx.recorder->provenance({"reduce.cpu_sum", "result", -1, -1, spec,
                               print.value(), data.size()});
   }
   return result;

@@ -1,10 +1,9 @@
 #include "fpna/reduce/gpu_sum.hpp"
 
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/reduce/block_sum.hpp"
 #include "fpna/util/permutation.hpp"
 
@@ -22,17 +21,8 @@ double run_ao(sim::SimDevice& device, std::span<const double> data,
   auto rng = ctx.run->fork(0xA0);
   const std::vector<std::size_t> order =
       device.scheduler().atomic_commit_order(data.size(), rng);
-  return fp::visit_reduction<double>(
-      ctx.reduction_in_effect(),
-      [&](auto tag, auto acc_c, auto quantize) -> double {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        Acc acc;
-        for (const std::size_t i : order) {
-          acc.add(static_cast<A>(quantize(data[i])));
-        }
-        return static_cast<double>(acc.result());
-      });
+  return fp::Fold<double>::of(ctx.reduction_in_effect())
+      .sum_gather(data.data(), order.data(), order.size());
 }
 
 /// SPA: deterministic block tree, then one atomicAdd per block. Executed
@@ -90,30 +80,15 @@ double run_single_pass_deterministic(sim::SimDevice& device,
     if (tree_tail) {
       result = tree_sum(partials);
     } else {
-      // Tail through the selected accumulator, fixed index order. The
-      // serial case keeps the seed's partials[0]-seeded fold (an empty
-      // accumulator's 0.0 + (-0.0) would flip the sign of an all-negative-
-      // zero tail, breaking bitwise compatibility). Kept on purpose, like
-      // cumsum's and index_add's self-seeded native folds.
-      result = fp::visit_reduction<double>(
-          ctx.reduction_in_effect(),
-          [&](auto tag, auto acc_c, auto quantize) -> double {
-            using A = typename decltype(acc_c)::type;
-            using Acc = typename decltype(tag)::template accumulator_t<A>;
-            if constexpr (std::is_same_v<Acc,
-                                         fp::SerialAccumulator<double>> &&
-                          decltype(quantize)::is_identity) {
-              double acc = partials[0];
-              for (std::size_t i = 1; i < nb; ++i) acc += partials[i];
-              return acc;
-            } else {
-              Acc acc;
-              for (const double p : partials) {
-                acc.add(static_cast<A>(quantize(p)));
-              }
-              return static_cast<double>(acc.result());
-            }
-          });
+      // Tail through the selected accumulator, fixed index order, the
+      // stream seeded from partials[0] (the native serial fold keeps the
+      // seed's partials[0] + partials[1] + ... bit for bit).
+      const fp::Fold<double>& fold =
+          fp::Fold<double>::of(ctx.reduction_in_effect());
+      fp::FoldStates<double> tail(fold, 1);
+      fold.seed(tail[0], partials[0]);
+      fold.add_run(tail[0], partials.data() + 1, nb - 1, 1);
+      fold.results(tail[0], &result, 1);
     }
   });
   return result;

@@ -4,10 +4,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/thread_pool.hpp"
@@ -29,10 +28,7 @@ namespace {
 
 /// One atomic update: source element `src` lands on destination element
 /// `dst` (both flat offsets).
-struct Contribution {
-  std::int64_t dst;
-  std::int64_t src;
-};
+using fp::Contribution;
 
 /// Calls `commit` on every contribution in a commit order: issue order
 /// on the deterministic path, a contention-aware scheduler draw on the
@@ -295,78 +291,42 @@ DestinationGroups group_by_destination(
 
 /// Deterministic accumulation of `contribs` into `out` through the
 /// context's registry-selected accumulator: per destination, the self
-/// value seeds the accumulator (unless `seed_self` is false, the
-/// scatter_reduce include_self=false case), then contributions fold in
-/// issue order. The contributions are grouped by destination and the
-/// destinations folded inline, or split across ctx.pool when there is
-/// one; destinations never alias and each one's stream is fixed by the
-/// grouping, so the pooled result is bitwise the inline one for every
-/// accumulator and thread count, by construction.
-///
-/// The native serial spec with a self seed keeps the classic in-place
-/// fold from the self value rather than a +0.0-seeded accumulator: it
-/// preserves signed-zero bits ((-0.0) + (-0.0) stays -0.0). Without a
-/// pool that fold needs no grouping at all - one pass in issue order.
-template <typename T, typename ValueOf>
+/// value seeds the stream (unless `seed_self` is false, the
+/// scatter_reduce include_self=false case), then alpha * src of its
+/// contributions folds in issue order. The contributions are grouped by
+/// destination and the destinations folded inline, or split across
+/// ctx.pool when there is one; destinations never alias and each one's
+/// stream is fixed by the grouping, so the pooled result is bitwise the
+/// inline one for every accumulator and thread count, by construction.
+/// The native serial fold of a seeded stream is an in-place add, so
+/// without a pool it needs no grouping at all - one pass in issue order.
+template <typename T>
 void accumulate_deterministic(Tensor<T>& out,
                               const std::vector<Contribution>& contribs,
-                              const OpContext& ctx, bool seed_self,
-                              const ValueOf& value_of) {
+                              const Tensor<T>& src, T alpha,
+                              const OpContext& ctx, bool seed_self) {
   const bool pooled =
       ctx.pool != nullptr && ctx.pool->size() > 1 && contribs.size() > 1;
-  const std::span<T> o = out.data();
-  fp::visit_reduction<T>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        constexpr bool in_place =
-            std::is_same_v<Acc, fp::SerialAccumulator<T>> &&
-            decltype(quantize)::is_identity;
-        if constexpr (in_place) {
-          if (seed_self && !pooled) {
-            for (const auto& c : contribs) {
-              const auto d = static_cast<std::size_t>(c.dst);
-              o[d] = static_cast<T>(o[d] + value_of(c));
-            }
-            return;
-          }
-        }
-        const DestinationGroups g =
-            group_by_destination(contribs, o.size());
-        const auto fold = [&](std::size_t begin, std::size_t end) {
-          for (std::size_t j = begin; j < end; ++j) {
-            const std::size_t d = g.destinations[j];
-            if constexpr (in_place) {
-              if (seed_self) {
-                T value = o[d];
-                for (std::size_t k = g.offsets[d]; k < g.offsets[d + 1];
-                     ++k) {
-                  value = static_cast<T>(value +
-                                         value_of(contribs[g.grouped[k]]));
-                }
-                o[d] = value;
-                continue;
-              }
-            }
-            Acc acc;
-            if (seed_self) acc.add(static_cast<A>(quantize(o[d])));
-            for (std::size_t k = g.offsets[d]; k < g.offsets[d + 1]; ++k) {
-              acc.add(static_cast<A>(
-                  quantize(value_of(contribs[g.grouped[k]]))));
-            }
-            o[d] = static_cast<T>(acc.result());
-          }
-        };
-        if (pooled) {
-          ctx.pool->parallel_for(
-              g.destinations.size(),
-              [&](std::size_t begin, std::size_t end, std::size_t) {
-                fold(begin, end);
-              });
-        } else {
-          fold(0, g.destinations.size());
-        }
-      });
+  const fp::Fold<T>& fold = fp::Fold<T>::of(ctx.reduction_in_effect());
+  fp::ScatterFold<T> job{out.data(), src.data(), alpha, contribs, seed_self,
+                         {}, {}, {}};
+  if (seed_self && !pooled && fold.scatter_in_place != nullptr) {
+    fold.scatter_in_place(job);
+    return;
+  }
+  const DestinationGroups g = group_by_destination(contribs, out.data().size());
+  job.destinations = g.destinations;
+  job.offsets = g.offsets;
+  job.grouped = g.grouped;
+  if (pooled) {
+    ctx.pool->parallel_for(
+        g.destinations.size(),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          fold.scatter(job, begin, end);
+        });
+  } else {
+    fold.scatter(job, 0, g.destinations.size());
+  }
 }
 
 /// scatter_reduce's mean epilogue: one PyTorch denominator rule for both
@@ -429,11 +389,8 @@ Tensor<T> index_add(const Tensor<T>& self, std::int64_t dim,
   if (!ctx.nondeterministic()) {
     // Deterministic path: per-destination reduction through the registry
     // accumulator, contributions in issue order.
-    accumulate_deterministic(out, contribs, ctx, /*seed_self=*/true,
-                             [&](const Contribution& c) {
-                               return static_cast<T>(
-                                   alpha * s[static_cast<std::size_t>(c.src)]);
-                             });
+    accumulate_deterministic(out, contribs, source, alpha, ctx,
+                             /*seed_self=*/true);
   } else {
     // Atomic adds commit in scheduler order; each add is out[dst] += a*src,
     // evaluated in T precision exactly as the device would (hardware
@@ -545,10 +502,8 @@ Tensor<T> scatter_reduce(const Tensor<T>& self, std::int64_t dim,
       (ctx.reduction_in_effect().algorithm != fp::AlgorithmId::kSerial ||
        !ctx.reduction_in_effect().native() ||
        ctx.reduction_in_effect().lane_blocked())) {
-    accumulate_deterministic(out, contribs, ctx, /*seed_self=*/include_self,
-                             [&](const Contribution& c) {
-                               return s[static_cast<std::size_t>(c.src)];
-                             });
+    accumulate_deterministic(out, contribs, src, T{1}, ctx,
+                             /*seed_self=*/include_self);
     if (reduce == Reduce::kMean) {
       std::vector<std::int64_t> counts(static_cast<std::size_t>(out.numel()),
                                        0);

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/util/permutation.hpp"
 
 namespace fpna::tensor {
@@ -20,34 +19,13 @@ void scan_line(std::span<T> data, std::int64_t start, std::int64_t stride,
   const auto at = [&](std::int64_t i) -> T& {
     return data[static_cast<std::size_t>(start + i * stride)];
   };
+  const fp::Fold<T>& fold = fp::Fold<T>::of(ctx.reduction_in_effect());
 
   if (!ctx.nondeterministic() || length <= 2 || scan_blocks <= 1) {
     // Deterministic scan: the running prefix is the context's registry
     // accumulator (at the spec's accumulate dtype, over storage-quantized
-    // addends), read after every add. The native serial case keeps the
-    // classic in-place loop - an empty accumulator's 0.0 seed would flip
-    // the sign of a -0.0 prefix, breaking bitwise compatibility. A native
-    // branch stays only where a stream starts from a value rather than
-    // from +0.0 (this prefix, index_add's self seed, the GPU tail's
-    // partials[0]); the dense kernels' zero-seeded folds need none.
-    fp::visit_reduction<T>(
-        ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-          using A = typename decltype(acc_c)::type;
-          using Acc = typename decltype(tag)::template accumulator_t<A>;
-          if constexpr (std::is_same_v<Acc, fp::SerialAccumulator<T>> &&
-                        decltype(quantize)::is_identity) {
-            for (std::int64_t i = 1; i < length; ++i) {
-              at(i) = static_cast<T>(at(i) + at(i - 1));
-            }
-          } else {
-            Acc acc;
-            acc.add(static_cast<A>(quantize(at(0))));
-            for (std::int64_t i = 1; i < length; ++i) {
-              acc.add(static_cast<A>(quantize(at(i))));
-              at(i) = static_cast<T>(acc.result());
-            }
-          }
-        });
+    // addends), seeded from the first element and read after every add.
+    fold.prefix(&at(0), stride, static_cast<std::size_t>(length));
     return;
   }
 
@@ -70,31 +48,22 @@ void scan_line(std::span<T> data, std::int64_t start, std::int64_t stride,
   // registry-selected accumulator (serial reproduces the seed bitwise).
   std::vector<T> aggregate(static_cast<std::size_t>(blocks), T{0});
   std::vector<T> offset(static_cast<std::size_t>(blocks), T{0});
-  fp::visit_reduction<T>(
-      ctx.reduction_in_effect(), [&](auto tag, auto acc_c, auto quantize) {
-        using A = typename decltype(acc_c)::type;
-        using Acc = typename decltype(tag)::template accumulator_t<A>;
-        for (std::int64_t b = 0; b < blocks; ++b) {
-          Acc acc;
-          for (std::int64_t i = begin[static_cast<std::size_t>(b)];
-               i < begin[static_cast<std::size_t>(b) + 1]; ++i) {
-            acc.add(static_cast<A>(quantize(at(i))));
-          }
-          aggregate[static_cast<std::size_t>(b)] = static_cast<T>(acc.result());
-        }
-
-        auto& rng = ctx.run->rng();
-        for (std::int64_t b = 1; b < blocks; ++b) {
-          // The b-1 preceding aggregates arrive in scheduler order.
-          std::vector<std::size_t> order = util::random_permutation(
-              static_cast<std::size_t>(b), rng);
-          Acc acc;
-          for (const std::size_t j : order) {
-            acc.add(static_cast<A>(quantize(aggregate[j])));
-          }
-          offset[static_cast<std::size_t>(b)] = static_cast<T>(acc.result());
-        }
-      });
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    const std::int64_t first = begin[static_cast<std::size_t>(b)];
+    aggregate[static_cast<std::size_t>(b)] =
+        fold.sum_run(&at(first), static_cast<std::size_t>(
+                                     begin[static_cast<std::size_t>(b) + 1] -
+                                     first),
+                     stride);
+  }
+  auto& rng = ctx.run->rng();
+  for (std::int64_t b = 1; b < blocks; ++b) {
+    // The b-1 preceding aggregates arrive in scheduler order.
+    const std::vector<std::size_t> order =
+        util::random_permutation(static_cast<std::size_t>(b), rng);
+    offset[static_cast<std::size_t>(b)] =
+        fold.sum_gather(aggregate.data(), order.data(), order.size());
+  }
 
   for (std::int64_t b = 0; b < blocks; ++b) {
     T acc = offset[static_cast<std::size_t>(b)];

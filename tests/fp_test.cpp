@@ -886,6 +886,66 @@ TEST(ReductionSpec, UnknownKeysThrowListingCatalogues) {
   }
 }
 
+TEST(ReductionSpec, FuzzedNamesRoundTripOrThrow) {
+  // Random token strings, random character strings and mutated valid
+  // names, all over the grammar's alphabet (@simd lane counts included):
+  // every parse either round-trips through to_string - with a supported
+  // lane count and a fold table - or throws std::invalid_argument. Any
+  // other exception fails the test; a crash fails the sanitizer jobs.
+  const std::vector<std::string> tokens = {
+      "serial", "pairwise", "kahan", "neumaier", "klein", "double_double",
+      "vectorized", "binned", "superaccumulator", "@", "@", ":", ":", "simd",
+      "simd", "native", "f64", "f32", "bf16", "0", "1", "3", "4", "8", "16",
+      "32", "256", "008", "x", "_", "-", " "};
+  const std::vector<std::string> valid = {
+      "kahan", "kahan@simd8:bf16:f32", "serial@f32", "pairwise@bf16:f64",
+      "superaccumulator@simd16", "binned@simd4:native:f32",
+      "double_double@f64:bf16", "klein@simd1", "vectorized@native"};
+  const std::string alphabet = "abdeiklmnoprstuvz_@:0123456789 -";
+  util::Xoshiro256pp rng(1019);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string name;
+    const std::size_t kind = pick(3);
+    if (kind == 0) {
+      for (std::size_t t = pick(6); t > 0; --t) {
+        name += tokens[pick(tokens.size())];
+      }
+    } else if (kind == 1) {
+      for (std::size_t c = pick(24); c > 0; --c) {
+        name += alphabet[pick(alphabet.size())];
+      }
+    } else {
+      name = valid[pick(valid.size())];
+      for (std::size_t m = 1 + pick(3); m > 0; --m) {
+        const std::size_t at = pick(name.size() + 1);
+        const char c = alphabet[pick(alphabet.size())];
+        switch (pick(3)) {
+          case 0: name.insert(at, 1, c); break;
+          case 1: if (at < name.size()) name.erase(at, 1); break;
+          default: if (at < name.size()) name[at] = c; break;
+        }
+      }
+    }
+    SCOPED_TRACE("'" + name + "'");
+    ReductionSpec spec;
+    try {
+      spec = parse_reduction_spec(name);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(simd_lane_count_supported(spec.lanes));
+    EXPECT_TRUE(parse_reduction_spec(to_string(spec)) == spec);
+    EXPECT_NO_THROW((void)Fold<double>::of(spec));
+  }
+  // The generator reaches the grammar, not only its error paths.
+  EXPECT_GT(accepted, 200u);
+}
+
 TEST(ReductionSpec, NativeSpecIsBitwiseTheScalarApi) {
   const auto v = random_values(10000, -1e6, 1e6, 404);
   for (const auto& entry : AlgorithmRegistry::instance().entries()) {
@@ -916,14 +976,10 @@ TEST(ReductionSpec, Bf16StorageMatchesReferenceFp32Accumulate) {
     });
     EXPECT_TRUE(bitwise_equal(via_spec, static_cast<double>(reference)));
 
-    // And the registry's dedicated bf16 surface agrees with the same
-    // reference on a bf16 buffer.
-    std::vector<bf16> quantized;
-    quantized.reserve(v.size());
-    for (const double x : v) quantized.emplace_back(static_cast<float>(x));
-    ASSERT_NE(entry.reduce_bf16_f32, nullptr);
-    EXPECT_TRUE(bitwise_equal32(
-        entry.reduce_bf16_f32(std::span<const bf16>(quantized)), reference));
+    // And the float kernel's bf16:f32 fold agrees with the same
+    // reference.
+    const std::vector<float> vf(v.begin(), v.end());
+    EXPECT_TRUE(bitwise_equal32(reduce<float>(spec, vf), reference));
   }
 }
 
@@ -935,12 +991,16 @@ TEST(AlgorithmRegistry, PerDtypeSurfacesRegistered) {
   for (const auto& entry : AlgorithmRegistry::instance().entries()) {
     SCOPED_TRACE(entry.name);
     ASSERT_NE(entry.reduce, nullptr);
-    ASSERT_NE(entry.reduce_f32, nullptr);
-    ASSERT_NE(entry.reduce_bf16_f32, nullptr);
-    // The f32 surface is the streaming float accumulator - the same
+    // The f32:f32 fold is the streaming float accumulator - the same
     // value reduce<float>(id) computes.
-    EXPECT_TRUE(bitwise_equal32(entry.reduce_f32(std::span<const float>(v)),
-                                reduce<float>(entry.id, v)));
+    const float streamed = visit_algorithm(entry.id, [&](auto tag) {
+      typename decltype(tag)::template accumulator_t<float> acc;
+      acc.add(std::span<const float>(v));
+      return acc.result();
+    });
+    const ReductionSpec f32{entry.id, Dtype::kF32, Dtype::kF32};
+    EXPECT_TRUE(bitwise_equal32(reduce<float>(f32, v), streamed));
+    EXPECT_TRUE(bitwise_equal32(reduce<float>(entry.id, v), streamed));
     // Dtype axes do not change the declared contract.
     EXPECT_EQ(traits_of(ReductionSpec{entry.id, Dtype::kBf16, Dtype::kF32})
                   .exact_merge,
@@ -1156,9 +1216,10 @@ TEST(Simd, UnsupportedLaneTokensThrowListingTheValidSet) {
       EXPECT_NE(what.find("16"), std::string::npos);
     }
   }
-  EXPECT_THROW(
-      visit_lane_algorithm(AlgorithmId::kKahan, 3, [](auto) { return 0; }),
-      std::invalid_argument);
+  EXPECT_THROW(Fold<double>::of(ReductionSpec{AlgorithmId::kKahan,
+                                              Dtype::kNative, Dtype::kNative,
+                                              3}),
+               std::invalid_argument);
 }
 
 TEST(Simd, RegistryCatalogueErrorMentionsTheLaneAxis) {
