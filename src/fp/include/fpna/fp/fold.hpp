@@ -139,7 +139,6 @@ class FoldStates {
   void* operator[](std::size_t k) noexcept {
     return reinterpret_cast<std::byte*>(data_.get()) + k * fold_.state_size;
   }
-  std::size_t size() const noexcept { return count_; }
 
  private:
   const Fold<N>& fold_;
