@@ -1,10 +1,10 @@
 // Ablation (DESIGN.md SS4.2): accuracy, cost and order-stability of the
 // summation algorithms - why the binned superaccumulator is the right
 // reference ("gold") sum for determinism certification. For each
-// *registered* algorithm (the table is driven by fp::AlgorithmRegistry, so
-// a newly registered accumulator shows up here automatically): error vs
-// the exact sum, wall-clock throughput, the spread of results over input
-// shuffles (0 = reproducible), and the traits it declared at registration.
+// algorithm of the catalogue (the table is driven by fp::kAlgorithms, so
+// a new accumulator shows up here automatically): error vs the exact sum,
+// wall-clock throughput, the spread of results over input shuffles
+// (0 = reproducible), and the traits its catalogue row declares.
 //
 // Flags: --size --shuffles --seed --csv
 
@@ -33,17 +33,20 @@ int main(int argc, char** argv) {
 
   auto data = bench::normal_array(size, 0.0, 1e6, seed);
   const double exact =
-      fp::AlgorithmRegistry::sum("superaccumulator", data);
+      fp::reduce<double>(fp::AlgorithmId::kSuperaccumulator, data);
 
   util::Table table({"algorithm", "abs error vs exact", "ulps", "Melem/s",
                      "spread over shuffles (ulps)", "perm-invariant?"});
-  for (const auto& algo : fp::AlgorithmRegistry::instance().entries()) {
-    const double value = algo.reduce(data);
+  for (const auto& algo : fp::kAlgorithms) {
+    const auto sum = [&](std::span<const double> v) {
+      return fp::reduce<double>(algo.id, v);
+    };
+    const double value = sum(data);
     const double err = std::fabs(value - exact);
     const auto ulps = fp::ulp_distance(value, exact);
 
     const auto stats =
-        util::time_repeated([&] { (void)algo.reduce(data); }, 3, 1);
+        util::time_repeated([&] { (void)sum(data); }, 3, 1);
     const double melem_s =
         static_cast<double>(size) / stats.mean_seconds / 1e6;
 
@@ -53,7 +56,7 @@ int main(int argc, char** argv) {
     std::int64_t spread = 0;
     for (std::size_t s = 0; s < shuffles; ++s) {
       util::shuffle(copy, rng);
-      spread = std::max(spread, fp::ulp_distance(algo.reduce(copy), value));
+      spread = std::max(spread, fp::ulp_distance(sum(copy), value));
     }
     table.add_row({algo.name, util::sci(err, 3), std::to_string(ulps),
                    util::fixed(melem_s, 1), std::to_string(spread),

@@ -9,7 +9,7 @@
 //                       (bitwise identity is checked in-process and the
 //                       bench exits non-zero if any pooled result
 //                       deviates).
-//   2. accumulator sweep - every AlgorithmRegistry entry at a reduced
+//   2. accumulator sweep - every fp::kAlgorithms row at a reduced
 //                       shape, serial vs 4-thread pool. Same 0-ulp gate.
 //   3. dtype sweep    - the dtype axis at the reduced shape: native f32,
 //                       bf16-storage/f32-accumulate (tensor-core mixed
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   util::ThreadPool& pool4 = *pools[2];
   util::Table acc_table({"accumulator", "shape", "serial ms", "pool ms",
                          "max ulps vs serial", "bits", "reproducible"});
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     core::EvalContext serial_ctx;
     serial_ctx.accumulator = entry.id;
     const core::EvalContext pool_ctx = serial_ctx.with_pool(&pool4);

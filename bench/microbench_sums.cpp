@@ -16,7 +16,7 @@
 //                       free to move with the host (the acceptance bar
 //                       on an AVX2 machine: >= 2x for serial@simd4 and
 //                       kahan@simd4 at n >= 1M).
-//   2. registry sweep - every AlgorithmRegistry entry at lanes 1 and 8
+//   2. registry sweep - every fp::kAlgorithms row at lanes 1 and 8
 //                       through the @simd<L> spec grammar. Entries with
 //                       no intrinsics kernel (superaccumulator, exact
 //                       merge, ...) run the lane-emulation - every name
@@ -119,11 +119,11 @@ int main(int argc, char** argv) {
   // ---- Table 2: registry sweep through the @simd<L> grammar -------------
   util::Table registry_table(
       {"spec", "lanes", "ms", "bits", "reproducible"});
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
       const std::string spec_text =
-          lanes == 1 ? entry.name
-                     : entry.name + "@simd" + std::to_string(lanes);
+          lanes == 1 ? std::string(entry.name)
+                     : entry.name + ("@simd" + std::to_string(lanes));
       const fp::ReductionSpec spec = fp::parse_reduction_spec(spec_text);
       const double value = fp::reduce(spec, values);
       const auto stats = util::time_repeated(

@@ -4,7 +4,7 @@
 //
 // Flags: --seed, --reps (shuffles per size), --sizes (comma list),
 //        --distribution {normal|uniform|exponential},
-//        --algorithm (any fp::AlgorithmRegistry name; default serial -
+//        --algorithm (any fp::kAlgorithms name; default serial -
 //        e.g. --algorithm=kahan shows how compensation shrinks the
 //        permutation effect, --algorithm=superaccumulator kills it), --csv
 
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   const std::string distribution = cli.text("distribution", "normal");
   const auto sizes =
       parse_sizes(cli.text("sizes", "100,1000,10000,100000,1000000"));
-  const auto& algo =
-      fp::AlgorithmRegistry::instance().at(cli.text("algorithm", "serial"));
+  const auto& algo = fp::algorithm_named(cli.text("algorithm", "serial"));
   const bool csv = cli.flag("csv");
 
   util::banner(std::cout,
@@ -66,10 +65,10 @@ int main(int argc, char** argv) {
   util::Xoshiro256pp shuffle_rng(seed ^ 0x5eedULL);
   for (const std::size_t n : sizes) {
     auto values = draw(distribution, n, seed + n);
-    const double s_d = algo.reduce(values);
+    const double s_d = fp::reduce<double>(algo.id, values);
     for (std::size_t rep = 0; rep < reps; ++rep) {
       util::shuffle(values, shuffle_rng);
-      const double s_nd = algo.reduce(values);
+      const double s_nd = fp::reduce<double>(algo.id, values);
       table.add_row({std::to_string(n), util::sci(s_nd - s_d),
                      util::sci(core::vs(s_nd, s_d))});
     }

@@ -2,12 +2,12 @@
 // Unlike the paper's static table, the "deterministic" column here is
 // *measured*: each kernel is certified over many scheduler seeds.
 //
-// Registry-driven: the inner accumulation algorithm of every kernel comes
-// from fp::AlgorithmRegistry (--accumulator=<name>, default serial, typos
+// Catalogue-driven: the inner accumulation algorithm of every kernel is
+// any fp::kAlgorithms name (--accumulator=<name>, default serial, typos
 // print the catalogue), and a second table certifies one deterministic
-// (SPTR) and one non-deterministic (SPA) kernel under *every* registered
-// accumulator - so a newly registered algorithm appears here with zero
-// bench changes.
+// (SPTR) and one non-deterministic (SPA) kernel under *every* accumulator
+// of the catalogue - so a new algorithm appears here with zero bench
+// changes.
 //
 // Flags: --seed, --runs (certification runs), --size, --accumulator, --csv
 
@@ -60,13 +60,13 @@ int main(int argc, char** argv) {
                    sim::synchronization_method(method)});
   }
 
-  // Registry sweep: the kernel's determinism class under each registered
-  // inner accumulator. SPTR's fixed tree stays deterministic for all of
+  // Catalogue sweep: the kernel's determinism class under each inner
+  // accumulator. SPTR's fixed tree stays deterministic for all of
   // them; SPA's atomic combine of block partials stays racy unless the
   // partial exchange itself is permutation-invariant.
   util::Table sweep({"accumulator", "SPTR deterministic", "SPA deterministic",
                      "perm-invariant (declared)"});
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     sweep.add_row(
         {entry.name,
          certify(sim::SumMethod::kSPTR, entry.id).deterministic ? "Yes" : "No",

@@ -3,13 +3,13 @@
 // bitwise stable; the normal reduction combines thread partials in
 // completion order and wobbles in the last digits.
 //
-// Registry-driven: the reduction's inner accumulator comes from
-// fp::AlgorithmRegistry (--accumulator=<name>, default serial reproduces
+// Catalogue-driven: the reduction's inner accumulator is any
+// fp::kAlgorithms name (--accumulator=<name>, default serial reproduces
 // the paper's table), and a second table runs the normal (completion-
-// order) reduction under *every* registered accumulator - showing that
-// the exact-merge algorithms make even the unordered reduction bitwise
-// stable, the paper's fix at the algorithm level instead of the `ordered`
-// clause's serialization.
+// order) reduction under *every* accumulator of the catalogue - showing
+// that the exact-merge algorithms make even the unordered reduction
+// bitwise stable, the paper's fix at the algorithm level instead of the
+// `ordered` clause's serialization.
 //
 // Flags: --seed, --trials, --size, --threads, --accumulator, --csv
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
   // "Normal": static chunks combined in a completion order drawn from the
   // run. "Ordered": adds retired in iteration order, i.e. the one-shot
-  // registry reduction (for serial this is the paper's `ordered` clause).
+  // reduction (for serial this is the paper's `ordered` clause).
   const auto normal_sum = [&](core::RunContext& run,
                               const fp::ReductionSpec& spec) {
     const auto ctx =
@@ -72,15 +72,15 @@ int main(int argc, char** argv) {
                    util::sci(ordered, 16)});
   }
 
-  // Registry sweep: certification of the completion-order reduction per
-  // registered accumulator, and how far it lands from that accumulator's
+  // Catalogue sweep: certification of the completion-order reduction per
+  // accumulator, and how far it lands from that accumulator's
   // ordered value. Certification uses at least 20 completion orders: the
   // near-uniform data rounds many reorderings identically, so a handful
   // of draws can miss the wobble.
   const std::size_t cert_runs = std::max<std::size_t>(trials, 20);
   util::Table sweep({"accumulator", "normal deterministic (measured)",
                      "|normal - ordered| (ulps)", "exact merge (declared)"});
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     const auto kernel = [&](core::RunContext& run) {
       return normal_sum(run, entry.id);
     };

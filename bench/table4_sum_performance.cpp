@@ -6,12 +6,12 @@
 // execution engine at reduced size to confirm each method's determinism
 // class while timing.
 //
-// Registry-driven: the engine check's inner accumulator comes from
-// fp::AlgorithmRegistry (--accumulator=<name>), and a closing table
-// measures the *wall-clock* cost of every registered accumulation
-// algorithm on the host - the CPU complement of the modelled GPU numbers,
-// with the same Ps penalty metric. New registry entries appear in it with
-// zero bench changes.
+// Catalogue-driven: the engine check's inner accumulator is any
+// fp::kAlgorithms name (--accumulator=<name>), and a closing table
+// measures the *wall-clock* cost of every accumulation algorithm on the
+// host - the CPU complement of the modelled GPU numbers, with the same Ps
+// penalty metric. New catalogue rows appear in it with zero bench
+// changes.
 //
 // Ps = 100 * (1 - t_i / min(t)) as in the paper (0 for the fastest, more
 // negative for slower implementations).
@@ -87,21 +87,21 @@ void run_device(const sim::DeviceProfile& profile,
 }
 
 /// The host-side analogue of the paper's table: wall-clock time and Ps
-/// penalty of every *registered* accumulation algorithm.
+/// penalty of every accumulation algorithm in the catalogue.
 void run_host_accumulators(std::size_t value_size, std::size_t sums,
                            bool csv) {
   util::banner(std::cout, "Table 4 [host, registry]: " +
                               std::to_string(sums) + " sums of " +
                               std::to_string(value_size) + " FP64 numbers");
   const auto data = bench::uniform_array(value_size, 0.0, 10.0, 43);
-  const auto& entries = fp::AlgorithmRegistry::instance().entries();
+  const auto& entries = fp::kAlgorithms;
 
   std::vector<double> times_ms;
   for (const auto& entry : entries) {
     const auto stats = util::time_repeated(
         [&] {
           for (std::size_t s = 0; s < sums; ++s) {
-            (void)entry.reduce(data);
+            (void)fp::reduce<double>(entry.id, data);
           }
         },
         3, 1);

@@ -32,14 +32,13 @@ int main() {
   std::vector<double> values(100000);
   for (auto& x : values) x = dist(rng);
 
-  // Algorithms are picked from the registry by name - the same lookup
-  // every bench and reduction backend uses.
-  const auto& registry = fp::AlgorithmRegistry::instance();
-  const auto& serial = registry.at("serial");
-  const double in_order = serial.reduce(values);
+  // Algorithms are picked by name through the spec grammar - the same
+  // lookup every bench and --algorithm flag uses.
+  const fp::ReductionSpec serial = fp::parse_reduction_spec("serial");
+  const double in_order = fp::reduce<double>(serial, values);
   auto shuffled = values;
   util::shuffle(shuffled, rng);
-  const double permuted = serial.reduce(shuffled);
+  const double permuted = fp::reduce<double>(serial, shuffled);
   std::cout << "  serial sum:          " << util::sci(in_order) << "\n"
             << "  after a permutation: " << util::sci(permuted) << "\n"
             << "  difference:          " << util::sci(permuted - in_order)
@@ -79,9 +78,10 @@ int main() {
   // 4. The reproducible fix: an order-invariant sum.
   // ------------------------------------------------------------------
   std::cout << "== 4. Reproducible summation ==\n";
-  const auto& gold_algo = registry.at("superaccumulator");
-  const double gold = gold_algo.reduce(values);
-  const double gold_shuffled = gold_algo.reduce(shuffled);
+  const fp::ReductionSpec gold_spec =
+      fp::parse_reduction_spec("superaccumulator");
+  const double gold = fp::reduce<double>(gold_spec, values);
+  const double gold_shuffled = fp::reduce<double>(gold_spec, shuffled);
   std::cout << "  superaccumulator(values):   " << util::sci(gold) << "\n"
             << "  superaccumulator(shuffled): " << util::sci(gold_shuffled)
             << "\n"
@@ -90,10 +90,10 @@ int main() {
             << "\n\n";
 
   // ------------------------------------------------------------------
-  // 5. The registry: every algorithm, one catalogue.
+  // 5. The catalogue: every algorithm, one constant table.
   // ------------------------------------------------------------------
   std::cout << "== 5. Registered accumulation algorithms ==\n";
-  for (const auto& entry : registry.entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     std::cout << "  " << entry.name
               << (entry.traits.permutation_invariant ? " [reproducible]" : "")
               << " - " << entry.description << "\n";

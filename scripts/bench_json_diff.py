@@ -8,8 +8,10 @@ For every row whose reproducibility column ("reproducible" or
 "run-to-run stable") reads "yes", the bit-pattern columns (headers
 containing "bits" or "ulps") must be byte-identical across the two runs.
 Timing columns are free to move. The gate fails (exit 1) on any drift,
-on structural mismatch, or if no row was gated at all (a vacuous pass
-would hide a bench that stopped emitting its reproducibility column).
+on structural mismatch (including a row shorter than its headers), on a
+dump that cannot be read or parsed (e.g. truncated), or if no row was
+gated at all (a vacuous pass would hide a bench that stopped emitting
+its reproducibility column).
 """
 
 import json
@@ -29,11 +31,25 @@ def repro_column(headers):
     return None
 
 
+def load(path):
+    """The parsed dump; an unreadable or unparsable one fails the gate."""
+    try:
+        with open(path) as handle:
+            dump = json.load(handle)
+    except (OSError, ValueError) as err:
+        print("bench_json_diff: FAIL - cannot parse %s: %s" % (path, err))
+        sys.exit(1)
+    if not isinstance(dump, dict):
+        print("bench_json_diff: FAIL - %s is not a JSON object" % path)
+        sys.exit(1)
+    return dump
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip())
-    run_a = json.load(open(sys.argv[1]))
-    run_b = json.load(open(sys.argv[2]))
+    run_a = load(sys.argv[1])
+    run_b = load(sys.argv[2])
 
     failures = []
     gated_rows = 0
@@ -66,6 +82,10 @@ def main():
                             % (name, len(rows_a), len(rows_b)))
             continue
         for idx, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+            if min(len(ra), len(rb)) < len(headers):
+                failures.append("table %r row %d: %d/%d cells for %d headers"
+                                % (name, idx, len(ra), len(rb), len(headers)))
+                continue
             if repro is not None and ra[repro] != "yes":
                 continue
             gated_rows += 1

@@ -8,7 +8,9 @@ A gate that cannot fail proves nothing. Starting from a committed dump
 checks that scripts/bench_json_diff.py
   * passes the dump against itself (exit 0),
   * fails (exit 1) when one bit of one gated bits column is flipped,
-  * fails (exit 1) on a dump in which no row is gated.
+  * fails (exit 1) on a dump in which no row is gated,
+  * fails (exit 1, one FAIL line, no traceback) on a truncated dump and
+    on a row shorter than its headers.
 """
 
 import copy
@@ -29,16 +31,24 @@ SNAPSHOT = os.path.join(os.path.dirname(SCRIPTS),
                         "BENCH_bucketed_allreduce.json")
 
 
-def run_gate(dump_a, dump_b):
+def gate(dump_a, dump_b):
+    """The gate's completed run; a str dump is written verbatim."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, dump in (("a.json", dump_a), ("b.json", dump_b)):
             path = os.path.join(tmp, name)
             with open(path, "w") as out:
-                json.dump(dump, out)
+                if isinstance(dump, str):
+                    out.write(dump)
+                else:
+                    json.dump(dump, out)
             paths.append(path)
         return subprocess.run([sys.executable, GATE] + paths,
-                              capture_output=True, text=True).returncode
+                              capture_output=True, text=True)
+
+
+def run_gate(dump_a, dump_b):
+    return gate(dump_a, dump_b).returncode
 
 
 def gated_cells(dump):
@@ -98,6 +108,25 @@ class BenchJsonDiffGate(unittest.TestCase):
                     row[repro] = "no"
         self.assertFalse(list(gated_cells(ungated)))
         self.assertEqual(run_gate(ungated, ungated), 1)
+
+    def assert_clean_fail(self, result):
+        self.assertEqual(result.returncode, 1)
+        self.assertTrue(result.stdout.startswith("bench_json_diff: FAIL"),
+                        result.stdout)
+        self.assertNotIn("Traceback", result.stderr)
+
+    def test_truncated_dump_fails(self):
+        text = json.dumps(self.dump)
+        result = gate(self.dump, text[:len(text) // 2])
+        self.assert_clean_fail(result)
+        self.assertEqual(len(result.stdout.splitlines()), 1)
+
+    def test_short_row_fails(self):
+        short = copy.deepcopy(self.dump)
+        t, r, _ = next(gated_cells(short))
+        row = short["tables"][t]["rows"][r]
+        del row[1:]
+        self.assert_clean_fail(gate(self.dump, short))
 
 
 if __name__ == "__main__":

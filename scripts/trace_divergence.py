@@ -28,6 +28,14 @@ KEY_FIELDS = ("frame", "scope", "site", "kind", "index", "sub_index",
               "spec", "seq")
 
 
+class InputError(Exception):
+    """An unreadable, truncated or malformed provenance file (exit 2)."""
+
+
+def key_of(rec):
+    return tuple(rec.get(f, "") for f in KEY_FIELDS)
+
+
 def load_records(path):
     records = []
     try:
@@ -39,17 +47,19 @@ def load_records(path):
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as err:
-                    raise SystemExit(
-                        f"error: {path}:{lineno}: not valid JSON: {err}")
+                    raise InputError(f"{path}:{lineno}: not valid JSON "
+                                     f"(truncated?): {err}") from None
+                if not isinstance(rec, dict):
+                    raise InputError(
+                        f"{path}:{lineno}: not a JSON object: {line[:40]}")
                 records.append(rec)
-    except OSError as err:
-        raise SystemExit(f"error: cannot read {path}: {err}")
-    records.sort(key=lambda r: tuple(r.get(f, "") for f in KEY_FIELDS))
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read {path}: {err}") from None
+    try:
+        records.sort(key=key_of)
+    except TypeError as err:
+        raise InputError(f"{path}: mistyped key field: {err}") from None
     return records
-
-
-def key_of(rec):
-    return tuple(rec.get(f, "") for f in KEY_FIELDS)
 
 
 def describe(rec):
@@ -93,8 +103,12 @@ def main(argv):
                         help="suppress the all-clear message")
     args = parser.parse_args(argv)
 
-    a = load_records(args.file_a)
-    b = load_records(args.file_b)
+    try:
+        a = load_records(args.file_a)
+        b = load_records(args.file_b)
+    except InputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     # Structural mismatch (a record present in only one run) is itself a
     # divergence: the runs executed different logical work.

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "fpna/core/run_context.hpp"
-#include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/fold.hpp"
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/thread_pool.hpp"

@@ -6,7 +6,6 @@
 #include <string>
 #include <type_traits>
 
-#include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/fold.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 #include "fpna/obs/recorder.hpp"
@@ -24,8 +23,8 @@ std::vector<T> exact_elementwise_allreduce(
   collective::validate(contributions);
   if (!fp::traits_of(spec).exact_merge) {
     throw std::invalid_argument(
-        "reproducible allreduce: accumulator '" +
-        fp::AlgorithmRegistry::instance().at(spec.algorithm).name +
+        std::string("reproducible allreduce: accumulator '") +
+        fp::to_string(spec.algorithm) +
         "' has no exact merge; choose superaccumulator or binned");
   }
   // Element i's stream is rank 0's value, then rank 1's, ...
@@ -87,8 +86,7 @@ fp::ReductionSpec wire_reproducible_spec(const core::EvalContext& ctx) {
   const fp::ReductionSpec spec =
       ctx.accumulator.value_or(fp::AlgorithmId::kSuperaccumulator);
   if (spec.algorithm != fp::AlgorithmId::kSuperaccumulator) {
-    const std::string& name =
-        fp::AlgorithmRegistry::instance().at(spec.algorithm).name;
+    const std::string name = fp::to_string(spec.algorithm);
     throw std::invalid_argument(
         fp::traits_of(spec).exact_merge
             ? "reproducible wire exchange: only the superaccumulator's "

@@ -60,7 +60,9 @@ enum class GradientExchange {
 
 struct DataParallelConfig {
   /// Local per-rank training setup (epochs, lr, hidden, accumulator,
-  /// determinism of the local kernels, init seed).
+  /// determinism of the local kernels, init seed). base.loss_scale must
+  /// stay disabled: the gradient exchange does not scale yet, so an
+  /// enabled loss scale throws std::invalid_argument.
   TrainConfig base{};
   std::size_t ranks = 4;
   collective::Algorithm algorithm = collective::Algorithm::kReproducible;

@@ -52,7 +52,8 @@ struct TrainConfig {
   /// quantize path before the optimizer; kDynamic adds the
   /// backoff-on-nonfinite / periodic-growth loop. The per-epoch scale in
   /// effect and the skipped-step count are recorded in TrainResult, so a
-  /// scaled run's rounding choices are fully named.
+  /// scaled run's rounding choices are fully named. dl::train only:
+  /// train_data_parallel rejects an enabled loss scale.
   LossScaleConfig loss_scale{};
   /// Nullable observability sink threaded through the training
   /// EvalContext: with a recorder attached the pooled kernels emit trace

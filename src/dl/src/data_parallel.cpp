@@ -77,6 +77,11 @@ TrainResult train_data_parallel(const Dataset& dataset,
   if (config.base.epochs <= 0) {
     throw std::invalid_argument("train_data_parallel: epochs <= 0");
   }
+  if (config.base.loss_scale.enabled()) {
+    throw std::invalid_argument(
+        "train_data_parallel: loss scaling is not implemented for the "
+        "gradient exchange; leave base.loss_scale at kNone");
+  }
   if (pg.size() != config.ranks ||
       pg.local_contributions() != config.ranks) {
     throw std::invalid_argument(

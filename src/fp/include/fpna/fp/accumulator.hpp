@@ -1,19 +1,18 @@
 #pragma once
-// The unified accumulation layer: the registry of accumulation
-// algorithms every reduction in the toolkit selects from, and the
-// streaming accumulator types behind it.
+// The unified accumulation layer: the streaming accumulator types behind
+// every algorithm of the catalogue (algorithm_id.hpp) the toolkit's
+// reductions select from.
 //
 // Two complementary interfaces per algorithm:
 //
 //  * a one-shot reduction that reproduces the historic free functions of
-//    summation.hpp bit for bit (the registry's function pointer, and
-//    fp::reduce for the native double spec);
+//    summation.hpp bit for bit (fp::reduce for the native double spec);
 //  * a stateful Accumulator type for element-at-a-time streaming and
 //    chunk-merge use (thread partials, block partials, per-destination
 //    scatter reductions). Streaming state is merged with `merge`, which is
 //    exact for the reproducible algorithms and deterministic for all.
 //
-// The registry is dtype-polymorphic (see reduction_spec.hpp): every
+// The layer is dtype-polymorphic (see reduction_spec.hpp): every
 // algorithm instantiates at double, float and the software bf16, and the
 // SIMD lane axis (simd.hpp) wraps any of them: `tags::Simd<Tag, L>` swaps
 // the algorithm's accumulator for the L-lane LaneBlockedAccumulator.
@@ -33,7 +32,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fpna/fp/algorithm_id.hpp"
@@ -537,15 +535,14 @@ static_assert(Accumulator<LaneBlockedAccumulator<LongAccumulator<double>, 4>>);
 // ---------------------------------------------------------------- tags --
 
 // One tag type per algorithm. A tag carries the streaming accumulator
-// template, the canonical one-shot reduction (bitwise identical to the
-// historic free function for double), and the declared traits - everything
-// the static visitor hands to a monomorphised hot loop.
+// template and the canonical one-shot reduction (bitwise identical to the
+// historic free function for double) - everything the static visitor
+// hands to a monomorphised hot loop. Names and traits live in the
+// catalogue (algorithm_id.hpp).
 
 namespace tags {
 
 struct Serial {
-  static constexpr AlgorithmId id = AlgorithmId::kSerial;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = SerialAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -554,8 +551,6 @@ struct Serial {
 };
 
 struct Pairwise {
-  static constexpr AlgorithmId id = AlgorithmId::kPairwise;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = PairwiseAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -564,8 +559,6 @@ struct Pairwise {
 };
 
 struct Kahan {
-  static constexpr AlgorithmId id = AlgorithmId::kKahan;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = KahanAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -574,8 +567,6 @@ struct Kahan {
 };
 
 struct Neumaier {
-  static constexpr AlgorithmId id = AlgorithmId::kNeumaier;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = NeumaierAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -584,8 +575,6 @@ struct Neumaier {
 };
 
 struct Klein {
-  static constexpr AlgorithmId id = AlgorithmId::kKlein;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = KleinAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -594,8 +583,6 @@ struct Klein {
 };
 
 struct DoubleDoubleTag {
-  static constexpr AlgorithmId id = AlgorithmId::kDoubleDouble;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = DoubleDoubleAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -604,8 +591,6 @@ struct DoubleDoubleTag {
 };
 
 struct Vectorized {
-  static constexpr AlgorithmId id = AlgorithmId::kVectorized;
-  static constexpr AlgorithmTraits traits{};
   template <typename T>
   using accumulator_t = VectorizedAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -614,24 +599,12 @@ struct Vectorized {
 };
 
 struct Binned {
-  static constexpr AlgorithmId id = AlgorithmId::kBinned;
-  static constexpr AlgorithmTraits traits{
-      .deterministic_fixed_order = true,
-      .permutation_invariant = true,
-      .exact_merge = true,
-  };
   template <typename T>
   using accumulator_t = BinnedAccumulator<T>;
   static double reduce(std::span<const double> v) { return BinnedSum::sum(v); }
 };
 
 struct Super {
-  static constexpr AlgorithmId id = AlgorithmId::kSuperaccumulator;
-  static constexpr AlgorithmTraits traits{
-      .deterministic_fixed_order = true,
-      .permutation_invariant = true,
-      .exact_merge = true,
-  };
   template <typename T>
   using accumulator_t = LongAccumulator<T>;
   static double reduce(std::span<const double> v) noexcept {
@@ -639,34 +612,26 @@ struct Super {
   }
 };
 
-/// Lane-blocked wrapper tag: the same algorithm identity as Tag, with the
-/// accumulator swapped for the L-lane blocking. Traits carry over
-/// verbatim: lane-blocking is deterministic for a fixed L (the lane
-/// assignment i mod L and the fold order are pinned), and it preserves
-/// permutation-invariance/exact-merge exactly when Base has them (exact
-/// lanes fold exactly; for order-sensitive bases both the scalar and the
-/// lane-blocked association are order-sensitive).
+/// Lane-blocked wrapper tag: Tag's algorithm with the accumulator swapped
+/// for the L-lane blocking, and no one-shot reduce of its own (its folds
+/// stream through the lane-blocked accumulator). Tag's catalogue traits
+/// carry over verbatim: lane-blocking is deterministic for a fixed L (the
+/// lane assignment i mod L and the fold order are pinned), and it
+/// preserves permutation-invariance/exact-merge exactly when Base has
+/// them (exact lanes fold exactly; for order-sensitive bases both the
+/// scalar and the lane-blocked association are order-sensitive).
 template <typename Tag, std::size_t L>
 struct Simd {
-  static constexpr AlgorithmId id = Tag::id;
-  static constexpr AlgorithmTraits traits = Tag::traits;
-  static constexpr std::size_t lanes = L;
-  using base_tag = Tag;
   template <typename T>
   using accumulator_t =
       LaneBlockedAccumulator<typename Tag::template accumulator_t<T>, L>;
-  static double reduce(std::span<const double> v) {
-    accumulator_t<double> acc;
-    acc.add(v);
-    return acc.result();
-  }
 };
 
 }  // namespace tags
 
 /// Static visitor: one switch per reduction *call*, monomorphised inner
-/// loops. `f` receives the tag by value and can read its accumulator_t,
-/// reduce and traits without any virtual dispatch. An id outside the enum
+/// loops. `f` receives the tag by value and can read its accumulator_t
+/// and reduce without any virtual dispatch. An id outside the enum
 /// (e.g. cast from an untrusted config integer) throws rather than
 /// silently computing a different algorithm - in a toolkit certifying
 /// which algorithm produced which bits, a quiet fallback would be a
@@ -685,7 +650,7 @@ decltype(auto) visit_algorithm(AlgorithmId id, F&& f) {
     case AlgorithmId::kSuperaccumulator: return f(tags::Super{});
   }
   throw std::invalid_argument(
-      "visit_algorithm: AlgorithmId outside the registered enum");
+      "visit_algorithm: AlgorithmId outside the enum");
 }
 
 /// Lane dispatch for one algorithm tag: lanes <= 1 hands `f` the tag
@@ -799,98 +764,5 @@ decltype(auto) visit_dtypes(const ReductionSpec& spec, F&& f) {
             [&](auto acc_c) -> decltype(auto) { return f(acc_c, quantize); });
       });
 }
-
-/// Declared traits of a spec. The algorithm's traits hold for every dtype
-/// instantiation: storage quantization is elementwise (commutes with any
-/// permutation or chunking of the input) and the exactness of the
-/// exact-merge states is internal to the accumulator, independent of the
-/// dtype its result rounds to.
-inline const AlgorithmTraits& traits_of(const ReductionSpec& spec) {
-  return traits_of(spec.algorithm);
-}
-
-// ------------------------------------------------------------- registry --
-
-/// String/enum-keyed catalogue of every accumulation algorithm. Built-ins
-/// self-register (see accumulator.cpp). Adding an algorithm is four
-/// mechanical steps in this module: (1) a new AlgorithmId enum value in
-/// algorithm_id.hpp, (2) a tag + visit_algorithm case here (the visitor
-/// is a deliberately closed set so an id it does not know throws instead
-/// of silently running the wrong algorithm), (3) one
-/// FPNA_REGISTER_ACCUMULATOR line in accumulator.cpp, (4) the algorithm's
-/// fold TU, src/fp/src/fold_<algorithm>.cpp, holding one
-/// FPNA_FOLD_TABLES(<tag>) line - after which the algorithm appears in
-/// every name-driven surface (bench tables, --algorithm flags, registry
-/// sums) and every reduction kernel with no changes outside src/fp.
-class AlgorithmRegistry {
- public:
-  struct Entry {
-    std::string name;  // CLI-facing key, e.g. "kahan"
-    AlgorithmId id = AlgorithmId::kSerial;
-    std::string description;
-    AlgorithmTraits traits{};
-    /// f64 storage / f64 accumulate one-shot reduction (bitwise = the
-    /// historic free function; this surface's values never move).
-    double (*reduce)(std::span<const double>) = nullptr;
-  };
-
-  static AlgorithmRegistry& instance();
-
-  /// Registers an algorithm; throws std::invalid_argument on a duplicate
-  /// name or id.
-  void register_algorithm(Entry entry);
-
-  /// nullptr when `name` is unknown.
-  const Entry* find(std::string_view name) const noexcept;
-
-  /// Throwing lookups; the error message lists the registered names so CLI
-  /// typos are self-explaining.
-  const Entry& at(std::string_view name) const;
-  const Entry& at(AlgorithmId id) const;
-
-  /// Registered names in registration order (stable across a build: the
-  /// nine built-ins first, extensions after).
-  std::vector<std::string> names() const;
-
-  const std::vector<Entry>& entries() const noexcept { return entries_; }
-
-  /// Convenience: registry-dispatched one-shot sum.
-  static double sum(AlgorithmId id, std::span<const double> values) {
-    return reduce<double>(id, values);
-  }
-  static double sum(const ReductionSpec& spec,
-                    std::span<const double> values) {
-    return reduce<double>(spec, values);
-  }
-  /// Name-driven sum: `name` is the full spec grammar
-  /// ("kahan", "kahan@bf16:f32", ...), parsed by parse_reduction_spec -
-  /// so the one lookup/throw path (at() for the algorithm, parse_dtype
-  /// for the dtypes, both listing their valid keys) serves every
-  /// name-driven surface.
-  static double sum(std::string_view name, std::span<const double> values);
-
- private:
-  AlgorithmRegistry() = default;
-  std::vector<Entry> entries_;
-};
-
-namespace detail {
-struct AlgorithmRegistrar {
-  explicit AlgorithmRegistrar(AlgorithmRegistry::Entry entry);
-};
-
-}  // namespace detail
-
-/// Self-registration hook: expands to a namespace-scope registrar whose
-/// constructor inserts the entry. Place in a .cpp that is linked whenever
-/// the registry is used (the nine built-ins live in accumulator.cpp).
-/// Registration runs at static initialization and fails fast: a duplicate
-/// name or id throws there (surfacing as std::terminate with the
-/// duplicate's name) rather than letting two algorithms share a key.
-#define FPNA_REGISTER_ACCUMULATOR(token, cli_name, tag_type, description_str) \
-  static const ::fpna::fp::detail::AlgorithmRegistrar                         \
-      fpna_accumulator_registrar_##token{::fpna::fp::AlgorithmRegistry::Entry{\
-          cli_name, tag_type::id, description_str, tag_type::traits,          \
-          &tag_type::reduce}};
 
 }  // namespace fpna::fp

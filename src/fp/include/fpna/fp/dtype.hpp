@@ -3,7 +3,7 @@
 // low-precision storage with higher-precision accumulation, as on GPU
 // tensor cores). Split from the accumulation layer so that light-weight
 // context headers (core::EvalContext and everything layered on it) can
-// name a dtype without compiling the whole registry.
+// name a dtype without compiling the whole accumulation layer.
 
 #include <cstdint>
 #include <span>
@@ -35,7 +35,7 @@ std::string dtype_keys();
 
 /// Rounds every value to `dtype` in place: a no-op for kNative and for a
 /// dtype at least as wide as T; bf16 rounds through binary32, as its
-/// conversions do everywhere in the registry.
+/// conversions do everywhere in the accumulation layer.
 template <typename T>
 void round_to(Dtype dtype, std::span<T> values);
 

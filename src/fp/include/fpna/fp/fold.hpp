@@ -91,11 +91,14 @@ struct Fold {
   /// ascending, both operands quantized, p skipped when the quantized x
   /// entry is zero (the sparsity skip of matmul, matmul_transpose_a and
   /// linear_row). Column j's state comes from a per-thread scratch row.
+  /// Float tables only (the dense kernels run on dl::Matrix, a float
+  /// tensor); null in every Fold<double> table.
   void (*fold_row)(std::span<const N> x, std::int64_t x_first,
                    std::int64_t x_stride, std::span<const N> w,
                    std::int64_t p_begin, std::int64_t p_end,
                    std::span<N> out);
   /// out[j] = sum over p in [0, k) of a[p] * b[j * k + p] (no skip).
+  /// Float tables only, like fold_row.
   void (*dot_row)(const N* a, const N* b, std::int64_t k, std::span<N> out);
   /// Folds destinations [begin, end) of job.destinations.
   void (*scatter)(const ScatterFold<N>& job, std::size_t begin,
@@ -112,7 +115,7 @@ struct Fold {
                 N* out) const;
 
   /// The table for `spec`. Throws std::invalid_argument for an algorithm
-  /// outside the registered enum or an unsupported lane count.
+  /// outside the enum or an unsupported lane count.
   static const Fold& of(const ReductionSpec& spec);
 };
 

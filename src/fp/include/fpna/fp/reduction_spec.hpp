@@ -28,9 +28,8 @@
 // scalar names (see fp/simd.hpp for the dispatch machinery).
 //
 // Light-weight by design: core::EvalContext stores a ReductionSpec, so
-// this header must not pull in the accumulation layer. Parsing is
-// registry-validated and therefore lives with the registry
-// (parse_reduction_spec in accumulator.hpp's module).
+// this header must not pull in the accumulation layer. Parsing validates
+// the algorithm key against the constant catalogue (algorithm_id.hpp).
 
 #include <cstdint>
 #include <string>
@@ -102,10 +101,18 @@ struct ReductionSpec {
 /// algorithm name, so historic row labels are unchanged).
 std::string to_string(const ReductionSpec& spec);
 
-/// Parses the name grammar above. The algorithm key is validated against
-/// AlgorithmRegistry (unknown names throw listing the registered keys);
-/// dtype keys throw listing the valid dtypes. Implemented with the
-/// registry in src/fp/src/reduction_spec.cpp.
+/// Parses the name grammar above. The algorithm key is validated by
+/// algorithm_named (unknown names throw listing every catalogue name);
+/// dtype keys throw listing the valid dtypes.
 ReductionSpec parse_reduction_spec(std::string_view name);
+
+/// Declared traits of a spec. The algorithm's traits hold for every dtype
+/// instantiation: storage quantization is elementwise (commutes with any
+/// permutation or chunking of the input) and the exactness of the
+/// exact-merge states is internal to the accumulator, independent of the
+/// dtype its result rounds to.
+inline const AlgorithmTraits& traits_of(const ReductionSpec& spec) {
+  return traits_of(spec.algorithm);
+}
 
 }  // namespace fpna::fp

@@ -81,7 +81,10 @@ struct FoldOps {
   }
 
   static N reduce(std::span<const N> values) {
-    if constexpr (std::is_same_v<N, double> && kBulk) {
+    // The historic free function where the tag has one (the lane-blocked
+    // tags do not).
+    if constexpr (std::is_same_v<N, double> && kBulk &&
+                  requires(std::span<const double> v) { Tag::reduce(v); }) {
       return Tag::reduce(values);
     } else {
       return sum_run(values.data(), values.size(), 1);
@@ -166,19 +169,19 @@ struct FoldOps {
       o = static_cast<N>(o + scaled(job, c));
     }
   }
-  static constexpr auto in_place_op() noexcept {
-    if constexpr (kNativeSerial) {
-      return &scatter_in_place;
-    } else {
-      return static_cast<void (*)(const ScatterFold<N>&)>(nullptr);
-    }
-  }
-
   static constexpr Fold<N> table() noexcept {
-    return {sizeof(Acc), &construct, &destroy,  &seed,    &add_run,
-            &add_each,   &merge,     &results,  &reduce,  &sum_run,
-            &sum_gather, &prefix,    &fold_row, &dot_row, &scatter,
-            in_place_op()};
+    Fold<N> ops{sizeof(Acc), &construct, &destroy, &seed,    &add_run,
+                &add_each,   &merge,     &results, &reduce,  &sum_run,
+                &sum_gather, &prefix,    nullptr,  nullptr,  &scatter,
+                nullptr};
+    // Only the float dense kernels (dl::Matrix) fold rows: the double
+    // tables leave the row ops uninstantiated.
+    if constexpr (std::is_same_v<N, float>) {
+      ops.fold_row = &fold_row;
+      ops.dot_row = &dot_row;
+    }
+    if constexpr (kNativeSerial) ops.scatter_in_place = &scatter_in_place;
+    return ops;
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/simd.hpp"
 
 namespace fpna::fp {
@@ -43,6 +42,29 @@ std::uint8_t parse_simd_lanes(std::string_view token) {
 
 }  // namespace
 
+const AlgorithmInfo& algorithm_named(std::string_view name) {
+  for (const AlgorithmInfo& row : kAlgorithms) {
+    if (row.name == name) return row;
+  }
+  std::string message = "unknown accumulator '" + std::string(name) +
+                        "'; registered:";
+  for (const AlgorithmInfo& row : kAlgorithms) {
+    message += ' ';
+    message += row.name;
+  }
+  message +=
+      " (each also accepts @simd<L> lane-blocked variants, L in {1, 4, 8, "
+      "16}, and @<storage>[:<accumulate>] dtype qualifiers, e.g. "
+      "kahan@simd8:bf16:f32)";
+  throw std::invalid_argument(message);
+}
+
+const AlgorithmTraits& traits_of(AlgorithmId id) {
+  const std::size_t row = detail::row_of(id);
+  if (row < kNumAlgorithms) return kAlgorithms[row].traits;
+  throw std::invalid_argument("traits_of: AlgorithmId outside the enum");
+}
+
 std::string to_string(const ReductionSpec& spec) {
   std::string out = to_string(spec.algorithm);
   if (spec.native() && !spec.lane_blocked()) return out;
@@ -63,10 +85,10 @@ std::string to_string(const ReductionSpec& spec) {
 ReductionSpec parse_reduction_spec(std::string_view name) {
   ReductionSpec spec;
   const std::size_t at = name.find('@');
-  // The algorithm key validates against the registry: at() throws listing
-  // every registered name, so a typo'd "kahann@bf16:f32" is
+  // The algorithm key validates against the catalogue: algorithm_named()
+  // throws listing every name, so a typo'd "kahann@bf16:f32" is
   // self-explaining.
-  spec.algorithm = AlgorithmRegistry::instance().at(name.substr(0, at)).id;
+  spec.algorithm = algorithm_named(name.substr(0, at)).id;
   if (at == std::string_view::npos) return spec;
 
   std::string_view rest = name.substr(at + 1);

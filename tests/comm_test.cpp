@@ -1338,6 +1338,14 @@ TEST(DataParallel, Validation) {
   comm::SimProcessGroup mismatched(2);
   EXPECT_THROW(train_data_parallel(ds, config, run, mismatched),
                std::invalid_argument);
+  // Loss scaling is not implemented for the gradient exchange: an enabled
+  // scale throws instead of silently training unscaled.
+  config.ranks = 2;
+  for (const auto& scale : {LossScaleConfig::static_scale(1024.0f),
+                            LossScaleConfig::dynamic(1024.0f)}) {
+    config.base.loss_scale = scale;
+    EXPECT_THROW(train_data_parallel(ds, config, run), std::invalid_argument);
+  }
 }
 
 }  // namespace

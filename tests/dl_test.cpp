@@ -191,11 +191,12 @@ TEST(Linalg, PooledKernelsBitwiseEqualSerialForEveryAccumulator) {
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     util::ThreadPool pool(threads);
-    for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+    for (const auto& entry : fp::kAlgorithms) {
       core::EvalContext serial_ctx;
       serial_ctx.accumulator = entry.id;
       const core::EvalContext pool_ctx = serial_ctx.with_pool(&pool);
-      const std::string label = entry.name + " @" + std::to_string(threads);
+      const std::string label =
+          entry.name + (" @" + std::to_string(threads));
 
       EXPECT_TRUE(matmul(a, b, pool_ctx)
                       .bitwise_equal(matmul(a, b, serial_ctx)))
@@ -589,11 +590,12 @@ TEST(Layers, PooledAggregationBitwiseEqualsSerialForEveryAccumulator) {
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     util::ThreadPool pool(threads);
-    for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+    for (const auto& entry : fp::kAlgorithms) {
       core::EvalContext serial_ctx;
       serial_ctx.accumulator = entry.id;
       const core::EvalContext pool_ctx = serial_ctx.with_pool(&pool);
-      const std::string label = entry.name + " @" + std::to_string(threads);
+      const std::string label =
+          entry.name + (" @" + std::to_string(threads));
       EXPECT_TRUE(
           mean_aggregate(ds.features, ds.graph, pool_ctx)
               .bitwise_equal(mean_aggregate(ds.features, ds.graph,

@@ -45,7 +45,7 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 /// Every algorithm at every lane count, then dtype-qualified specs.
 std::vector<fp::ReductionSpec> spec_grid() {
   std::vector<fp::ReductionSpec> grid;
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     for (const std::size_t lanes : {1u, 4u, 8u, 16u}) {
       fp::ReductionSpec spec{entry.id};
       spec.lanes = lanes;

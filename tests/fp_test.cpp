@@ -604,86 +604,83 @@ INSTANTIATE_TEST_SUITE_P(
                       PermutationCase{10000, -1e10, 1e10},
                       PermutationCase{4096, -1e-10, 1e-10}));
 
-// ---------------------------------------------------------- registry --
+// --------------------------------------------------------- catalogue --
 
-TEST(AlgorithmRegistry, AllBuiltinsRegistered) {
-  const auto names = AlgorithmRegistry::instance().names();
-  // >= so that a linked-in extension algorithm does not fail the suite.
-  ASSERT_GE(names.size(), kNumAlgorithms);
-  for (const char* expected :
-       {"serial", "pairwise", "vectorized", "kahan", "neumaier", "klein",
-        "double_double", "binned", "superaccumulator"}) {
-    EXPECT_NE(AlgorithmRegistry::instance().find(expected), nullptr)
-        << expected;
+/// The name-driven one-shot sum: the spec grammar, then fp::reduce.
+double sum_named(std::string_view name, std::span<const double> values) {
+  return reduce<double>(parse_reduction_spec(name), values);
+}
+
+TEST(AlgorithmCatalogue, AllBuiltinsRegistered) {
+  // Exactly the nine built-ins, in the canonical bench/table row order.
+  const std::vector<std::string> expected{
+      "serial", "pairwise", "vectorized", "kahan", "neumaier", "klein",
+      "double_double", "binned", "superaccumulator"};
+  ASSERT_EQ(kAlgorithms.size(), expected.size());
+  ASSERT_EQ(kNumAlgorithms, expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(kAlgorithms[i].name, expected[i]) << i;
   }
 }
 
-TEST(AlgorithmRegistry, LookupByNameAndIdAgree) {
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
-    EXPECT_EQ(AlgorithmRegistry::instance().at(entry.name).id, entry.id);
-    EXPECT_EQ(AlgorithmRegistry::instance().at(entry.id).name, entry.name);
-    EXPECT_EQ(entry.name, to_string(entry.id));
+TEST(AlgorithmCatalogue, LookupByNameAndIdAgree) {
+  for (const auto& entry : kAlgorithms) {
+    EXPECT_EQ(algorithm_named(entry.name).id, entry.id);
+    EXPECT_EQ(&algorithm_named(entry.name), &entry);
+    EXPECT_STREQ(to_string(entry.id), entry.name);
+    EXPECT_EQ(&traits_of(entry.id), &entry.traits);
   }
 }
 
-TEST(AlgorithmRegistry, UnknownNameThrowsWithCatalogue) {
+TEST(AlgorithmCatalogue, UnknownNameThrowsWithCatalogue) {
   try {
-    AlgorithmRegistry::instance().at("kahansum");
+    (void)algorithm_named("kahansum");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
-    // The error names the registered algorithms so CLI typos self-explain.
-    EXPECT_NE(std::string(error.what()).find("superaccumulator"),
-              std::string::npos);
+    // The error names every algorithm so CLI typos self-explain.
+    EXPECT_STREQ(error.what(),
+                 "unknown accumulator 'kahansum'; registered: serial "
+                 "pairwise vectorized kahan neumaier klein double_double "
+                 "binned superaccumulator (each also accepts @simd<L> "
+                 "lane-blocked variants, L in {1, 4, 8, 16}, and "
+                 "@<storage>[:<accumulate>] dtype qualifiers, e.g. "
+                 "kahan@simd8:bf16:f32)");
   }
 }
 
-TEST(AlgorithmRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(AlgorithmRegistry::instance().register_algorithm(
-                   {"serial", AlgorithmId::kSerial, "dup", {}, nullptr}),
-               std::invalid_argument);
-}
-
-TEST(AlgorithmRegistry, OneShotMatchesHistoricFreeFunctions) {
+TEST(AlgorithmCatalogue, OneShotMatchesHistoricFreeFunctions) {
   const auto v = random_values(10000, -1e6, 1e6, 77);
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("serial", v),
-                            sum_serial(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("pairwise", v),
-                            sum_pairwise(v, 32)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("kahan", v),
-                            sum_kahan(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("neumaier", v),
-                            sum_neumaier(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("klein", v),
-                            sum_klein(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("double_double", v),
+  EXPECT_TRUE(bitwise_equal(sum_named("serial", v), sum_serial(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("pairwise", v), sum_pairwise(v, 32)));
+  EXPECT_TRUE(bitwise_equal(sum_named("kahan", v), sum_kahan(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("neumaier", v), sum_neumaier(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("klein", v), sum_klein(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("double_double", v),
                             sum_double_double(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("vectorized", v),
+  EXPECT_TRUE(bitwise_equal(sum_named("vectorized", v),
                             sum_vectorized(v, 4)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("binned", v),
-                            BinnedSum::sum(v)));
-  EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum("superaccumulator", v),
+  EXPECT_TRUE(bitwise_equal(sum_named("binned", v), BinnedSum::sum(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("superaccumulator", v),
                             Superaccumulator::sum(v)));
 }
 
-// The property test of the registry contract: every registered algorithm
-// is deterministic for a fixed input order; the ones declaring
-// permutation invariance are bitwise invariant under shuffles, and the
-// ones declaring exact merges are bitwise independent of chunking.
-TEST(AlgorithmRegistry, EveryEntryHonoursItsDeclaredContract) {
+// The property test of the catalogue contract: every algorithm is
+// deterministic for a fixed input order; the ones declaring permutation
+// invariance are bitwise invariant under shuffles, and the ones declaring
+// exact merges are bitwise independent of chunking.
+TEST(AlgorithmCatalogue, EveryEntryHonoursItsDeclaredContract) {
   const auto v = random_values(20000, -1e8, 1e8, 321);
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     SCOPED_TRACE(entry.name);
     EXPECT_TRUE(entry.traits.deterministic_fixed_order);
-    // The registry entry and the tag agree on the declared contract.
-    const AlgorithmTraits& declared = traits_of(entry.id);
-    EXPECT_EQ(declared.permutation_invariant,
-              entry.traits.permutation_invariant);
-    EXPECT_EQ(declared.exact_merge, entry.traits.exact_merge);
+    const auto one_shot_of = [&](std::span<const double> values) {
+      return reduce<double>(entry.id, values);
+    };
 
     // Deterministic for fixed order: one-shot and streaming evaluations
     // both reproduce themselves bitwise.
-    const double one_shot = entry.reduce(v);
-    EXPECT_TRUE(bitwise_equal(entry.reduce(v), one_shot));
+    const double one_shot = one_shot_of(v);
+    EXPECT_TRUE(bitwise_equal(one_shot_of(v), one_shot));
     const double streamed = visit_algorithm(entry.id, [&](auto tag) {
       typename decltype(tag)::template accumulator_t<double> acc;
       for (const double x : v) acc.add(x);
@@ -702,11 +699,11 @@ TEST(AlgorithmRegistry, EveryEntryHonoursItsDeclaredContract) {
 
     // Permutation invariance exactly as declared.
     auto copy = v;
-    util::Xoshiro256pp rng(entry.name.size() * 7919 + 3);
+    util::Xoshiro256pp rng(std::string_view(entry.name).size() * 7919 + 3);
     bool any_different = false;
     for (int trial = 0; trial < 8; ++trial) {
       util::shuffle(copy, rng);
-      if (!bitwise_equal(entry.reduce(copy), one_shot)) any_different = true;
+      if (!bitwise_equal(one_shot_of(copy), one_shot)) any_different = true;
     }
     if (entry.traits.permutation_invariant) {
       EXPECT_FALSE(any_different)
@@ -739,7 +736,7 @@ TEST(AlgorithmRegistry, EveryEntryHonoursItsDeclaredContract) {
   }
 }
 
-TEST(AlgorithmRegistry, StreamingAccumulatorsWorkInFloat) {
+TEST(AlgorithmCatalogue, StreamingAccumulatorsWorkInFloat) {
   util::Xoshiro256pp rng(9);
   const util::UniformReal dist(-100.0, 100.0);
   std::vector<float> v(5000);
@@ -748,7 +745,7 @@ TEST(AlgorithmRegistry, StreamingAccumulatorsWorkInFloat) {
     x = static_cast<float>(dist(rng));
     exact += static_cast<double>(x);
   }
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     SCOPED_TRACE(entry.name);
     const float value = visit_algorithm(entry.id, [&](auto tag) {
       typename decltype(tag)::template accumulator_t<float> acc;
@@ -948,13 +945,13 @@ TEST(ReductionSpec, FuzzedNamesRoundTripOrThrow) {
 
 TEST(ReductionSpec, NativeSpecIsBitwiseTheScalarApi) {
   const auto v = random_values(10000, -1e6, 1e6, 404);
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     SCOPED_TRACE(entry.name);
     const ReductionSpec spec{entry.id};
     EXPECT_TRUE(bitwise_equal(reduce(spec, std::span<const double>(v)),
                               reduce(entry.id, std::span<const double>(v))));
-    EXPECT_TRUE(bitwise_equal(AlgorithmRegistry::sum(entry.name, v),
-                              AlgorithmRegistry::sum(entry.id, v)));
+    EXPECT_TRUE(bitwise_equal(sum_named(entry.name, v),
+                              reduce<double>(entry.id, v)));
   }
 }
 
@@ -963,7 +960,7 @@ TEST(ReductionSpec, Bf16StorageMatchesReferenceFp32Accumulate) {
   // hand-built reference - quantize every addend to bf16, stream the
   // exact widened values through the algorithm's fp32 accumulator.
   const auto v = random_values(5000, -100.0, 100.0, 505);
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     SCOPED_TRACE(entry.name);
     const ReductionSpec spec{entry.id, Dtype::kBf16, Dtype::kF32};
     const double via_spec = reduce(spec, std::span<const double>(v));
@@ -983,14 +980,13 @@ TEST(ReductionSpec, Bf16StorageMatchesReferenceFp32Accumulate) {
   }
 }
 
-TEST(AlgorithmRegistry, PerDtypeSurfacesRegistered) {
+TEST(AlgorithmCatalogue, PerDtypeSurfacesRegistered) {
   util::Xoshiro256pp rng(11);
   const util::UniformReal dist(-50.0, 50.0);
   std::vector<float> v(4096);
   for (auto& x : v) x = static_cast<float>(dist(rng));
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     SCOPED_TRACE(entry.name);
-    ASSERT_NE(entry.reduce, nullptr);
     // The f32:f32 fold is the streaming float accumulator - the same
     // value reduce<float>(id) computes.
     const float streamed = visit_algorithm(entry.id, [&](auto tag) {
@@ -1139,16 +1135,16 @@ TEST(Simd, LaneEmulationMatchesHandFoldedLanes) {
 }
 
 TEST(Simd, EverySpecInTheLaneGridRunsOnThisHost) {
-  // The portability half of the certificate: every registry algorithm
+  // The portability half of the certificate: every catalogue algorithm
   // composed with every lane count (and a dtype axis for good measure)
   // evaluates on ANY host - intrinsics where the CPU has them, the
   // emulation elsewhere - with force-scalar toggling never moving bits.
   ForceScalarGuard guard;
   const auto v = random_values(2048, -1e3, 1e3, 88);
   const std::span<const double> values(v);
-  for (const auto& entry : AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : kAlgorithms) {
     for (const std::size_t lanes : kSimdLaneCounts) {
-      SCOPED_TRACE(entry.name + "@simd" + std::to_string(lanes));
+      SCOPED_TRACE(entry.name + ("@simd" + std::to_string(lanes)));
       const ReductionSpec spec{entry.id, Dtype::kNative, Dtype::kNative,
                                static_cast<std::uint8_t>(lanes)};
       set_simd_force_scalar(false);
@@ -1224,7 +1220,7 @@ TEST(Simd, UnsupportedLaneTokensThrowListingTheValidSet) {
 
 TEST(Simd, RegistryCatalogueErrorMentionsTheLaneAxis) {
   try {
-    AlgorithmRegistry::instance().at("no-such-algorithm");
+    (void)algorithm_named("no-such-algorithm");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("@simd"), std::string::npos);

@@ -245,7 +245,7 @@ TEST(Recorder, DisabledContextRecordsNothingAndMovesNoBits) {
   const dl::Matrix b = test_matrix(24, 24, 12);
   const auto data = test_array(4096, 13);
   util::ThreadPool pool(4);
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     core::EvalContext plain;
     plain.accumulator = entry.id;
     plain.pool = &pool;

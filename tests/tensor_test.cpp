@@ -158,12 +158,12 @@ TEST(IndexAdd, Validation) {
 TEST(IndexAdd, PooledDeterministicPathIsBitIdenticalToSerial) {
   // ROADMAP item: the deterministic path consumes EvalContext.pool via
   // parallel_for over destination groups. Bit-identity with the
-  // single-thread path must hold for every registered accumulator and
+  // single-thread path must hold for every catalogue accumulator and
   // any pool size, by construction (per-destination folds are identical
   // streams; destinations never alias).
   util::Xoshiro256pp rng(5);
   auto w = make_index_add_workload<float>(200, 0.2, rng);
-  for (const auto& entry : fp::AlgorithmRegistry::instance().entries()) {
+  for (const auto& entry : fp::kAlgorithms) {
     OpContext serial_ctx;
     serial_ctx.accumulator = entry.id;
     const auto serial = index_add(w.self, 0, w.index, w.source, 1.0f,
