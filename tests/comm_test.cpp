@@ -1102,6 +1102,152 @@ TEST(ShardedBucketedAllreduce, Validation) {
       std::out_of_range);
 }
 
+// ------------------------------------------------------------- golden --
+
+template <typename T>
+std::vector<TensorList<T>> narrowed(
+    const std::vector<TensorList<double>>& in) {
+  std::vector<TensorList<T>> out(in.size());
+  for (std::size_t r = 0; r < in.size(); ++r) {
+    for (const auto& tensor : in[r]) {
+      out[r].emplace_back(tensor.begin(), tensor.end());
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void feed(obs::Fingerprint& print, const TensorList<T>& tensors) {
+  for (const auto& tensor : tensors) {
+    print.feed(static_cast<std::uint64_t>(tensor.size()));
+    print.feed(std::span<const T>(tensor));
+  }
+}
+
+void feed(obs::Fingerprint& print, const std::string& text) {
+  print.feed(static_cast<std::uint64_t>(text.size()));
+  for (const char c : text) print.feed(static_cast<std::uint64_t>(c));
+}
+
+TEST(BucketedAllreduce, GoldenBits) {
+  // Pins the bits of every bucketed exchange over caps x overlap x dtype;
+  // overlap must land on the same fingerprint as the inline schedule.
+  SimProcessGroup pg(4);
+  util::ThreadPool pool(4);
+  const auto wide = ill_conditioned_samples(4, kSizes, 61);
+  const auto narrow = narrowed<float>(wide);
+  // Odd buckets exchange bf16-quantized values through the binned sum,
+  // so the hook's reach shows in the bits.
+  const auto binned_hook = [](std::size_t b, core::EvalContext& bctx) {
+    if (b % 2 == 1) {
+      bctx.accumulator = fp::parse_reduction_spec("binned@bf16:f32");
+    }
+  };
+  struct Case {
+    const char* name;
+    collective::Algorithm algorithm;
+    bool hooked;
+    const char* golden;
+  };
+  const Case cases[] = {
+      {"ring", collective::Algorithm::kRing, false, "4d54e4ee1f17e65d"},
+      {"recursive-doubling", collective::Algorithm::kRecursiveDoubling,
+       false, "4f05dee8de10a27b"},
+      {"arrival-tree", collective::Algorithm::kArrivalTree, false,
+       "fbad44fcaf4bdfe1"},
+      {"reproducible", collective::Algorithm::kReproducible, false,
+       "2f7172b53f5d7e4a"},
+      {"reproducible+binned", collective::Algorithm::kReproducible, true,
+       "348ccbfc4326a0aa"},
+  };
+  for (const Case& c : cases) {
+    for (const bool overlap : {false, true}) {
+      obs::Fingerprint print;
+      for (const std::size_t cap : {1u, 64u, 100000u}) {
+        const auto reduce = [&](const auto& tensors) {
+          core::RunContext run(71, 0);
+          core::EvalContext ctx;
+          ctx.run = &run;
+          ctx.pool = overlap ? &pool : nullptr;
+          BucketedConfig config{.bucket_cap_elements = cap,
+                                .overlap = overlap};
+          if (c.hooked) config.context_hook = binned_hook;
+          feed(print, bucketed_allreduce(pg, tensors, c.algorithm, ctx,
+                                         config));
+        };
+        reduce(wide);
+        reduce(narrow);
+      }
+      EXPECT_EQ(obs::hex64(print.value()), c.golden)
+          << c.name << (overlap ? " overlapped" : " inline");
+    }
+  }
+
+  // The provenance stream of one recorded, overlapped ring run.
+  {
+    obs::Recorder recorder;
+    core::EvalContext ctx;
+    ctx.pool = &pool;
+    ctx.recorder = &recorder;
+    bucketed_allreduce(pg, wide, collective::Algorithm::kRing, ctx,
+                       BucketedConfig{.bucket_cap_elements = 64,
+                                      .overlap = true});
+    obs::Fingerprint print;
+    const auto stream = recorder.sorted_provenance();
+    ASSERT_FALSE(stream.empty());
+    for (const auto& stamped : stream) {
+      print.feed(stamped.frame);
+      feed(print, stamped.scope);
+      print.feed(stamped.seq);
+      feed(print, stamped.record.site);
+      feed(print, stamped.record.kind);
+      print.feed(static_cast<std::uint64_t>(stamped.record.index));
+      print.feed(static_cast<std::uint64_t>(stamped.record.sub_index));
+      feed(print, stamped.record.spec);
+      print.feed(stamped.record.bits);
+      print.feed(stamped.record.elements);
+    }
+    EXPECT_EQ(obs::hex64(print.value()), "73255259bb670412");
+  }
+
+  // The overlapped reproducible sharded exchange.
+  {
+    const auto samples = ill_conditioned_samples(24, kSizes, 67);
+    const auto samples_f = narrowed<float>(samples);
+    SimProcessGroup three(3);
+    const auto owner = owner_map(24, 3, 7);
+    core::EvalContext ctx;
+    ctx.pool = &pool;
+    obs::Fingerprint print;
+    for (const std::size_t cap : {1u, 64u, 100000u}) {
+      const BucketedConfig config{.bucket_cap_elements = cap,
+                                  .overlap = true};
+      feed(print, sharded_bucketed_allreduce(
+                      three, samples, owner,
+                      collective::Algorithm::kReproducible, ctx, config));
+      feed(print, sharded_bucketed_allreduce(
+                      three, samples_f, owner,
+                      collective::Algorithm::kReproducible, ctx, config));
+    }
+    EXPECT_EQ(obs::hex64(print.value()), "07906410746cf191");
+  }
+
+  // A hook failure on one overlapped bucket surfaces from the call after
+  // every bucket task has been joined.
+  {
+    core::EvalContext ctx;
+    ctx.pool = &pool;
+    BucketedConfig config{.bucket_cap_elements = 64, .overlap = true};
+    config.context_hook = [](std::size_t b, core::EvalContext&) {
+      if (b == 1) throw std::runtime_error("bucket 1 failed");
+    };
+    EXPECT_THROW(bucketed_allreduce(pg, wide,
+                                    collective::Algorithm::kReproducible,
+                                    ctx, config),
+                 std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace fpna::comm
 
