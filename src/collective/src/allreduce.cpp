@@ -4,7 +4,8 @@
 #include <stdexcept>
 
 #include "fpna/core/chunking.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
+#include "fpna/fp/superaccumulator.hpp"
 #include "fpna/util/permutation.hpp"
 
 namespace fpna::collective {
@@ -125,18 +126,18 @@ std::vector<T> allreduce_reproducible(const RankDataT<T>& contributions) {
   const std::size_t ranks = contributions.size();
   const std::size_t n = contributions.front().size();
 
-  // Each rank contributes to the registry's exact long accumulator; the
-  // merge is exact, so the rounded result is bitwise independent of
-  // arrival order, rank count and sharding.
+  // Each rank contributes to an exact superaccumulator; the merge is
+  // exact, so the rounded result is bitwise independent of arrival order,
+  // rank count and sharding.
   std::vector<T> result(n, T{0});
   for (std::size_t i = 0; i < n; ++i) {
-    fp::LongAccumulator<double> acc;
+    fp::Superaccumulator acc;
     for (std::size_t r = 0; r < ranks; ++r) {
       acc.add(static_cast<double>(contributions[r][i]));
     }
     // The exact double-rounded value, narrowed once: still order- and
     // rank-count-invariant for T = float (single final rounding).
-    result[i] = static_cast<T>(acc.result());
+    result[i] = static_cast<T>(acc.round());
   }
   return result;
 }
@@ -198,44 +199,22 @@ bool is_deterministic(Algorithm algorithm) noexcept {
 double distributed_sum(std::span<const double> data, std::size_t ranks,
                        Algorithm algorithm, const core::EvalContext& ctx) {
   if (ranks == 0) throw std::invalid_argument("distributed_sum: zero ranks");
-  const RankData shards = shard(data, ranks);
-
   if (algorithm == Algorithm::kReproducible) {
-    // Exact local accumulation, exact merge through the registry's long
-    // accumulator: independent of the sharding and of the merge order.
-    fp::LongAccumulator<double> total;
-    for (const auto& local : shards) {
-      fp::LongAccumulator<double> partial;
-      partial.add(std::span<const double>(local));
-      total.merge(partial);
-    }
-    return total.result();
+    // Exact local states merged exactly are one exact sum of the data:
+    // sharding it moves no bits.
+    return fp::reduce<double>(fp::AlgorithmId::kSuperaccumulator, data);
   }
 
   // Local partial per rank through the context's registry-selected
   // reduction spec (storage quantization + accumulate dtype + algorithm),
   // then a P-element collective over the rounded partials.
+  const RankData shards = shard(data, ranks);
   RankData partials(ranks, std::vector<double>(1, 0.0));
   for (std::size_t r = 0; r < ranks; ++r) {
     partials[r][0] = fp::reduce(ctx.reduction_in_effect(),
                                 std::span<const double>(shards[r]));
   }
-  switch (algorithm) {
-    case Algorithm::kRing:
-      return allreduce_ring(partials)[0];
-    case Algorithm::kRecursiveDoubling:
-      return allreduce_recursive_doubling(partials)[0];
-    case Algorithm::kArrivalTree: {
-      if (ctx.run == nullptr) {
-        throw std::invalid_argument(
-            "distributed_sum: arrival-tree needs a RunContext");
-      }
-      return allreduce_arrival_tree(partials, *ctx.run)[0];
-    }
-    case Algorithm::kReproducible:
-      break;  // handled above
-  }
-  throw std::invalid_argument("distributed_sum: unknown algorithm");
+  return allreduce(partials, algorithm, ctx)[0];
 }
 
 double distributed_sum(std::span<const double> data, std::size_t ranks,

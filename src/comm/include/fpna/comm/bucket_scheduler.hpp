@@ -1,11 +1,12 @@
 #pragma once
-// BucketScheduler: DDP-style bucket firing. Where bucketed_allreduce
-// packs a fully-materialised tensor list and then reduces bucket by
-// bucket, the scheduler inverts control: the caller announces tensors as
-// their gradients become final (the backward pass emits them in reverse
-// layer order through dl's GradientSink), and each bucket's reduction
-// launches the moment its *last* member arrives - inline, or on a thread
-// pool so the collective overlaps the rest of the backward compute.
+// BucketScheduler: DDP-style bucket firing, the one bucket loop of comm.
+// The caller announces tensors as they become final, and each bucket's
+// reduction launches the moment its *last* member arrives - inline, or on
+// a thread pool so the collective overlaps whatever the caller does next.
+// The backward pass announces gradients in reverse layer order through
+// dl's GradientSink; bucketed_allreduce announces a fully materialised
+// tensor list in tensor order; sharded_bucketed_allreduce's exact path
+// fires its own per-bucket fold.
 //
 // Reproducibility contract: the scheduler decides only *when* a bucket
 // fires, never what it computes. The fire callback must be a pure

@@ -2,25 +2,27 @@
 // Bucketed, overlap-capable allreduce over lists of named-by-position
 // tensors - the communication step of data-parallel training.
 //
-// bucketed_allreduce packs each rank's tensor list into the BucketAssigner
-// buckets, allreduces every bucket through the ProcessGroup, and unpacks
-// the reduced buckets back into per-tensor results. Per bucket it derives
-// a fresh EvalContext:
+// One engine reduces every bucket. OverlappedBucketAllreduce packs the
+// BucketAssigner buckets over an emission order of the tensors, and its
+// BucketScheduler fires each bucket's allreduce through the ProcessGroup
+// once the bucket's last tensor is announced, then unpacks the reduced
+// bucket into per-tensor results. bucketed_allreduce is that engine with
+// the identity order and every tensor announced up front. Per bucket the
+// engine derives a fresh EvalContext:
 //
 //   * arrival-tree runs get a per-bucket RunContext whose seed is drawn
-//     from ctx.run *in bucket order on the caller's thread*, so the drawn
-//     arrival orders are a pure function of the run identity - bitwise
-//     identical whether buckets reduce inline or overlapped on the pool;
+//     from ctx.run *in bucket order on the constructing thread*, so the
+//     drawn arrival orders are a pure function of the run identity -
+//     bitwise identical whether buckets reduce inline or on the pool;
 //   * a user context_hook may retarget the accumulator (or any other
 //     EvalContext field) per bucket - e.g. carry the embedding gradients
 //     on the superaccumulator exchange while the dense bulk rides the
 //     cheap serial path.
 //
-// With overlap enabled (and ctx.pool set), closed buckets reduce on the
-// thread pool while the caller's thread keeps packing the remaining
-// buckets - the DDP pattern of overlapping communication with gradient
-// production. Overlap changes wall-clock, never bits (certified in
-// comm_test).
+// With overlap enabled (and ctx.pool set), fired buckets reduce on the
+// thread pool while the caller keeps announcing tensors - the DDP pattern
+// of overlapping communication with gradient production. Overlap changes
+// wall-clock, never bits (certified in comm_test).
 //
 // sharded_bucketed_allreduce is the multi-tensor generalisation of
 // collective::distributed_sum: the reduction's *samples* (micro-batch
@@ -28,9 +30,11 @@
 // folds its samples locally, and the partials meet in the collective. With
 // kReproducible the local fold keeps exact per-element state, so the
 // result is bitwise invariant to rank count, shard assignment, bucket cap
-// and arrival order - the "MPI-safe" gradient reduction; with the rounded
-// algorithms the local fold commits to its shard's association and the
-// bits move with (P, owner map, algorithm).
+// and arrival order - the "MPI-safe" gradient reduction, whose buckets
+// fire through a BucketScheduler running the exact fold; with the rounded
+// algorithms the local fold commits to its shard's association, the
+// partials go through bucketed_allreduce, and the bits move with
+// (P, owner map, algorithm).
 
 #include <cstddef>
 #include <cstdint>
@@ -53,8 +57,9 @@ using TensorList = std::vector<std::vector<T>>;
 
 struct BucketedConfig {
   std::size_t bucket_cap_elements = std::size_t{1} << 16;
-  /// Reduce closed buckets on ctx.pool while later buckets pack. Requires
-  /// ctx.pool; bitwise identical to the inline schedule by construction.
+  /// Reduce fired buckets on ctx.pool while the caller announces later
+  /// tensors. Requires ctx.pool; bitwise identical to the inline schedule
+  /// by construction.
   bool overlap = false;
   /// Network block size of the arrival-tree collective.
   std::size_t block_elements = 1024;
@@ -71,7 +76,9 @@ struct BucketedConfig {
 /// pg.local_contributions() entries (all P for the sim backend, this
 /// rank's list under MPI); every entry must agree on tensor count and
 /// sizes. Returns the reduced tensors every rank observes. ctx.run is
-/// required for (and only consumed by) kArrivalTree.
+/// required for (and only consumed by) kArrivalTree. Runs the
+/// OverlappedBucketAllreduce engine over the identity emission order; a
+/// failing bucket rethrows after every bucket task has been joined.
 template <typename T>
 TensorList<T> bucketed_allreduce(ProcessGroup& pg,
                                  const std::vector<TensorList<T>>& rank_tensors,
@@ -92,9 +99,9 @@ TensorList<T> sharded_bucketed_allreduce(
     std::span<const std::size_t> owner, collective::Algorithm algorithm,
     const core::EvalContext& ctx, const BucketedConfig& config = {});
 
-/// The DDP overlap engine: an emission-ordered, arrival-fired bucket
-/// allreduce, shared by dl::train_data_parallel's backward-overlapped
-/// gradient exchange and bench/bucketed_allreduce --overlap=backward so
+/// The bucket engine: an emission-ordered, arrival-fired bucket
+/// allreduce. bucketed_allreduce, both dl::train_data_parallel gradient
+/// exchanges and bench/bucketed_allreduce --overlap=backward run it, so
 /// the bench certifies the exact flow the trainer runs.
 ///
 /// Slot s of the firing order is tensor emit_order[s] (a permutation of

@@ -1,8 +1,7 @@
 #include "fpna/comm/bucketed_allreduce.hpp"
 
 #include <cstdint>
-#include <exception>
-#include <future>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -64,63 +63,27 @@ std::vector<std::size_t> sizes_of(const TensorList<T>& tensors) {
   return sizes;
 }
 
-/// Runs `task(b)` for every bucket index, inline or on the pool. Overlap
-/// submits each bucket as soon as the caller-side preparation for it is
-/// done (`prepare(b)` runs on this thread, in order - the "production"
-/// side); all tasks are joined before returning, and the first failure is
-/// rethrown after the join so no task outlives its captures.
-template <typename Prepare, typename Task>
-void for_each_bucket(std::size_t buckets, util::ThreadPool* pool,
-                     bool overlap, Prepare&& prepare, Task&& task) {
-  if (overlap && pool != nullptr) {
-    std::vector<std::future<void>> pending;
-    pending.reserve(buckets);
-    for (std::size_t b = 0; b < buckets; ++b) {
-      auto work = prepare(b);
-      pending.push_back(
-          pool->submit([work = std::move(work), &task, b]() mutable {
-            task(b, std::move(work));
-          }));
-    }
-    std::exception_ptr first_error;
-    for (auto& future : pending) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-  for (std::size_t b = 0; b < buckets; ++b) {
-    task(b, prepare(b));
-  }
-}
-
 /// Packs one bucket of every rank list into flat per-rank buffers. Slot s
-/// of the bucket maps to tensor `tensor_of(s)` (the identity for the
-/// packed paths, the emission order for the overlap engine). When
-/// `expected_sizes` (tensor-indexed) is given, each tensor is checked at
-/// pack time - the overlap engine's guard against a bucket firing before
-/// every one of its tensors landed.
-template <typename T, typename MapFn>
-collective::RankDataT<T> pack_bucket(
-    const std::vector<TensorList<T>>& lists, const Bucket& bucket,
-    MapFn&& tensor_of, const std::vector<std::size_t>* expected_sizes) {
+/// of the bucket is tensor `emit_order[s]`; each tensor is checked against
+/// its declared size at pack time - the guard against a bucket firing
+/// before every one of its tensors landed.
+template <typename T>
+collective::RankDataT<T> pack_bucket(const std::vector<TensorList<T>>& lists,
+                                     const Bucket& bucket,
+                                     const std::vector<std::size_t>& emit_order,
+                                     const std::vector<std::size_t>& sizes) {
   collective::RankDataT<T> packed(lists.size());
   for (std::size_t r = 0; r < lists.size(); ++r) {
     packed[r].reserve(bucket.elements);
     for (std::size_t s = bucket.first_tensor;
          s < bucket.first_tensor + bucket.tensor_count; ++s) {
-      const std::size_t t = tensor_of(s);
+      const std::size_t t = emit_order[s];
       const auto& tensor = lists[r][t];
-      if (expected_sizes != nullptr &&
-          tensor.size() != (*expected_sizes)[t]) {
+      if (tensor.size() != sizes[t]) {
         throw std::logic_error(
             "pack_bucket: tensor " + std::to_string(t) + " of rank " +
             std::to_string(r) + " holds " + std::to_string(tensor.size()) +
-            " elements, declared " + std::to_string((*expected_sizes)[t]) +
+            " elements, declared " + std::to_string(sizes[t]) +
             " - its emission never reached this reduction");
       }
       packed[r].insert(packed[r].end(), tensor.begin(), tensor.end());
@@ -131,14 +94,14 @@ collective::RankDataT<T> pack_bucket(
 
 /// Scatters a bucket's reduced flat buffer back into per-tensor results
 /// (sizes tensor-indexed, slot mapping as in pack_bucket).
-template <typename T, typename MapFn>
+template <typename T>
 void unpack_bucket(const std::vector<T>& reduced, const Bucket& bucket,
-                   MapFn&& tensor_of,
+                   const std::vector<std::size_t>& emit_order,
                    const std::vector<std::size_t>& sizes, TensorList<T>& out) {
   std::size_t offset = 0;
   for (std::size_t s = bucket.first_tensor;
        s < bucket.first_tensor + bucket.tensor_count; ++s) {
-    const std::size_t t = tensor_of(s);
+    const std::size_t t = emit_order[s];
     out[t].assign(
         reduced.begin() + static_cast<std::ptrdiff_t>(offset),
         reduced.begin() + static_cast<std::ptrdiff_t>(offset + sizes[t]));
@@ -147,17 +110,13 @@ void unpack_bucket(const std::vector<T>& reduced, const Bucket& bucket,
 }
 
 /// The per-bucket EvalContext: a private copy of the caller's context with
-/// a per-bucket RunContext for the arrival tree (seed drawn by the caller
+/// the bucket's own RunContext when it has one (the arrival tree's, seeded
 /// in bucket order) and the user's hook applied last.
 core::EvalContext bucket_context(const core::EvalContext& ctx,
                                  const BucketedConfig& config, std::size_t b,
-                                 std::optional<core::RunContext>& run_storage,
-                                 bool needs_run, std::uint64_t seed) {
+                                 core::RunContext* bucket_run) {
   core::EvalContext bctx = ctx;
-  if (needs_run) {
-    run_storage.emplace(seed);
-    bctx.run = &*run_storage;
-  }
+  if (bucket_run != nullptr) bctx.run = bucket_run;
   if (config.context_hook) config.context_hook(b, bctx);
   return bctx;
 }
@@ -187,59 +146,14 @@ TensorList<T> bucketed_allreduce(ProcessGroup& pg,
   }
   const std::vector<std::size_t> sizes = sizes_of(rank_tensors.front());
   validate_shapes(rank_tensors, sizes, "bucketed_allreduce");
-
-  const auto buckets =
-      BucketAssigner(config.bucket_cap_elements).assign(sizes);
-
-  const bool needs_run = algorithm == collective::Algorithm::kArrivalTree;
-  if (needs_run && ctx.run == nullptr) {
-    throw std::invalid_argument(
-        "bucketed_allreduce: arrival-tree needs EvalContext.run");
-  }
-  // Per-bucket arrival entropy, drawn in bucket order on this thread so
-  // the bits cannot depend on the pool's scheduling.
-  std::vector<std::uint64_t> seeds(buckets.size(), 0);
-  if (needs_run) {
-    for (auto& seed : seeds) seed = ctx.run->rng()();
-  }
-
-  TensorList<T> result(sizes.size());
-  for (std::size_t t = 0; t < sizes.size(); ++t) result[t].resize(sizes[t]);
-
-  // Packing is the caller-side "gradient production" stand-in; reduction
-  // and unpacking run per bucket (possibly on the pool). Unpacking writes
-  // disjoint tensors per bucket, so tasks never alias.
-  const auto identity = [](std::size_t s) { return s; };
-  const auto pack = [&](std::size_t b) {
-    return pack_bucket(rank_tensors, buckets[b], identity, nullptr);
-  };
-  const auto reduce_and_unpack = [&](std::size_t b,
-                                     collective::RankDataT<T> packed) {
-    std::optional<obs::ScopeGuard> scope_guard;
-    if (ctx.recorder != nullptr) {
-      scope_guard.emplace("bucket/" + std::to_string(b));
-    }
-    obs::Span span(ctx.recorder, "comm.bucket.reduce");
-    span.arg("bucket", static_cast<std::uint64_t>(b));
-    span.arg("elements", static_cast<std::uint64_t>(buckets[b].elements));
-    span.arg("algorithm", collective::to_string(algorithm));
-    std::optional<core::RunContext> run_storage;
-    const core::EvalContext bctx =
-        bucket_context(ctx, config, b, run_storage, needs_run, seeds[b]);
-    const std::vector<T> reduced =
-        pg.allreduce(packed, algorithm, bctx, config.block_elements);
-    emit_bucket_provenance(ctx.recorder, b, reduced, bctx);
-    unpack_bucket(reduced, buckets[b], identity, sizes, result);
-  };
-  // MPI-style backends must issue collectives in the same order on every
-  // rank and without concurrent calls: overlap degrades to the inline
-  // schedule there (same bits either way - the per-bucket seeds were
-  // drawn above, independent of the schedule).
-  util::ThreadPool* pool =
-      pg.supports_concurrent_allreduce() ? ctx.pool : nullptr;
-  for_each_bucket(buckets.size(), pool, config.overlap, pack,
-                  reduce_and_unpack);
-  return result;
+  // Every tensor is final up front: announce the slots in tensor order,
+  // so buckets fire (and draw their seeds) in bucket order.
+  std::vector<std::size_t> identity(sizes.size());
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  OverlappedBucketAllreduce<T> reducer(pg, rank_tensors, sizes, identity,
+                                       algorithm, ctx, config);
+  for (std::size_t s = 0; s < sizes.size(); ++s) reducer.notify_slot_ready(s);
+  return reducer.finish();
 }
 
 template <typename T>
@@ -303,18 +217,12 @@ TensorList<T> sharded_bucketed_allreduce(
   // Reproducible: exact per-element local state per rank, exact merge in
   // rank order, one final rounding - bitwise invariant to rank count,
   // owner assignment, bucket cap and arrival order by construction. The
-  // bucket loop still runs (on the pool when overlap is on) so the
-  // per-bucket hook can retarget the exact accumulator.
-  const auto buckets =
-      BucketAssigner(config.bucket_cap_elements).assign(sizes);
+  // buckets still fire (on the pool when overlap is on) so the per-bucket
+  // hook can retarget the exact accumulator.
   TensorList<T> result(sizes.size());
   for (std::size_t t = 0; t < sizes.size(); ++t) result[t].resize(sizes[t]);
-
-  const auto prepare = [](std::size_t) { return 0; };
-  const auto reduce_bucket = [&](std::size_t b, int) {
-    std::optional<core::RunContext> run_storage;
-    const core::EvalContext bctx =
-        bucket_context(ctx, config, b, run_storage, /*needs_run=*/false, 0);
+  const auto fold_bucket = [&](std::size_t b, const Bucket& bucket) {
+    const core::EvalContext bctx = bucket_context(ctx, config, b, nullptr);
     const fp::ReductionSpec spec =
         bctx.accumulator.value_or(fp::AlgorithmId::kSuperaccumulator);
     if (!fp::traits_of(spec).exact_merge) {
@@ -325,7 +233,6 @@ TensorList<T> sharded_bucketed_allreduce(
     // Merging the ranks' exact local states in rank order is one stream
     // over every rank's samples in that order.
     const fp::Fold<T>& fold = fp::Fold<T>::of(spec);
-    const Bucket& bucket = buckets[b];
     std::vector<const T*> runs;
     for (std::size_t t = bucket.first_tensor;
          t < bucket.first_tensor + bucket.tensor_count; ++t) {
@@ -334,8 +241,11 @@ TensorList<T> sharded_bucketed_allreduce(
       fold.sum_each(runs, sizes[t], result[t].data());
     }
   };
-  for_each_bucket(buckets.size(), ctx.pool, config.overlap, prepare,
-                  reduce_bucket);
+  BucketScheduler scheduler(sizes, config.bucket_cap_elements, fold_bucket,
+                            config.overlap ? ctx.pool : nullptr,
+                            ctx.recorder);
+  for (std::size_t t = 0; t < sizes.size(); ++t) scheduler.notify_ready(t);
+  scheduler.finish();
   return result;
 }
 
@@ -400,22 +310,20 @@ OverlappedBucketAllreduce<T>::OverlappedBucketAllreduce(
 template <typename T>
 void OverlappedBucketAllreduce<T>::fire(std::size_t bucket_index,
                                         const Bucket& bucket) {
-  const bool needs_run = algorithm_ == collective::Algorithm::kArrivalTree;
-  std::optional<core::RunContext> run_storage;
+  std::optional<core::RunContext> run;
+  if (!seeds_.empty()) run.emplace(seeds_[bucket_index]);
   const core::EvalContext bctx =
-      bucket_context(ctx_, config_, bucket_index, run_storage, needs_run,
-                     needs_run ? seeds_[bucket_index] : 0);
-  const auto slot_tensor = [this](std::size_t s) { return emit_order_[s]; };
+      bucket_context(ctx_, config_, bucket_index, run ? &*run : nullptr);
   // Size-checked pack: a bucket fired (possibly backfilled by finish())
   // before every one of its tensors landed must diagnose, not reduce a
   // short buffer.
   const auto packed =
-      pack_bucket(rank_tensors_, bucket, slot_tensor, &tensor_sizes_);
+      pack_bucket(rank_tensors_, bucket, emit_order_, tensor_sizes_);
   const std::vector<T> reduced =
       pg_.allreduce(packed, algorithm_, bctx, config_.block_elements);
   // Runs inside the scheduler's "bucket/<b>" scope + firing span.
   emit_bucket_provenance(ctx_.recorder, bucket_index, reduced, bctx);
-  unpack_bucket(reduced, bucket, slot_tensor, tensor_sizes_, combined_);
+  unpack_bucket(reduced, bucket, emit_order_, tensor_sizes_, combined_);
 }
 
 template <typename T>

@@ -52,9 +52,10 @@ enum class GradientExchange {
   /// kPacked; the reproducible exchange is layout-invariant and stays
   /// bitwise equal to kPacked (certified in comm_test).
   kBucketOverlap,
-  /// PR 2 path: pack every rank's full gradient list, then
-  /// comm::bucketed_allreduce (kept as the packed baseline the overlap
-  /// path is certified against).
+  /// Every rank's full gradient list first, then the same bucket engine
+  /// over tensor order with every tensor announced at once (the
+  /// comm::bucketed_allreduce flow) - the packed baseline the overlap
+  /// path is certified against.
   kPacked,
 };
 
@@ -67,7 +68,8 @@ struct DataParallelConfig {
   std::size_t ranks = 4;
   collective::Algorithm algorithm = collective::Algorithm::kReproducible;
   std::size_t bucket_cap_elements = std::size_t{1} << 16;
-  /// Overlap bucket reduction with packing on `pool` (no-op when null).
+  /// Reduce fired buckets on `pool` while the caller keeps producing
+  /// gradients (no-op when null).
   bool overlap = false;
   /// Thread pool carrying the overlapped bucket reductions.
   util::ThreadPool* pool = nullptr;

@@ -1,5 +1,6 @@
 #include "fpna/dl/data_parallel.hpp"
 
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -13,17 +14,6 @@
 namespace fpna::dl {
 
 namespace {
-
-/// Per-parameter gradient buffers flattened to one TensorList entry each
-/// (FP32, the wire type of the exchange - as NCCL/MPI gradient buckets).
-comm::TensorList<float> gradient_tensors(GraphSageModel& model) {
-  comm::TensorList<float> tensors;
-  for (auto& [param, grad] : model.parameters()) {
-    (void)param;
-    tensors.emplace_back(grad->data().begin(), grad->data().end());
-  }
-  return tensors;
-}
 
 void write_gradients(GraphSageModel& model,
                      const comm::TensorList<float>& tensors) {
@@ -123,12 +113,18 @@ TrainResult train_data_parallel(const Dataset& dataset,
   }
   const std::size_t num_params = params.size();
 
-  // The backward-overlap plan: gradients are emitted in reverse layer
-  // order (model.backward_gradient_order), so buckets pack over that
-  // *emission* order and each one fires as its last tensor lands during
-  // the final rank's backward pass - the DDP overlap of communication
-  // with the gradient production itself, not just with packing.
-  const auto emit_order = result.model.backward_gradient_order();
+  // Both exchanges run the one bucket engine. kBucketOverlap packs
+  // buckets over the backward pass's emission order (reverse layer order,
+  // model.backward_gradient_order) and announces each gradient as the
+  // last rank's backward emits it, so each bucket fires as its last
+  // tensor lands - the DDP overlap of communication with gradient
+  // production. kPacked packs over tensor order and announces every slot
+  // once all ranks are done.
+  const bool overlap_exchange =
+      config.exchange == GradientExchange::kBucketOverlap;
+  std::vector<std::size_t> emit_order(num_params);
+  std::iota(emit_order.begin(), emit_order.end(), std::size_t{0});
+  if (overlap_exchange) emit_order = result.model.backward_gradient_order();
   std::vector<std::size_t> slot_of_param(num_params, 0);
   std::vector<std::size_t> tensor_sizes(num_params, 0);
   for (std::size_t s = 0; s < num_params; ++s) {
@@ -144,9 +140,6 @@ TrainResult train_data_parallel(const Dataset& dataset,
     throw std::logic_error("train_data_parallel: unknown gradient buffer");
   };
 
-  const bool overlap_exchange =
-      config.exchange == GradientExchange::kBucketOverlap;
-
   // With deterministic local kernels every replica's forward over the
   // shared weights is bitwise identical (only the loss mask differs per
   // rank), so one forward pass per epoch serves all P backward passes.
@@ -157,7 +150,6 @@ TrainResult train_data_parallel(const Dataset& dataset,
   for (int epoch = 0; epoch < config.base.epochs; ++epoch) {
     std::vector<comm::TensorList<float>> rank_grads(
         ranks, comm::TensorList<float>(num_params));
-    comm::TensorList<float> combined(num_params);
     double loss_total = 0.0;
     GraphSageModel::ForwardCache shared_cache;
     Matrix shared_log_probs;
@@ -166,19 +158,18 @@ TrainResult train_data_parallel(const Dataset& dataset,
           dataset.features, dataset.graph, local_ctx, &shared_cache);
     }
 
-    // The shared DDP overlap engine (also certified by
-    // bench/bucketed_allreduce --overlap=backward): buckets pack over the
-    // emission order, per-bucket arrival seeds are pre-drawn in bucket
-    // order, and each bucket's allreduce launches at its last tensor -
-    // on comm_ctx.pool when overlap is on, concurrent with the rest of
-    // the backward pass below.
+    // The reducer draws its per-bucket arrival seeds from `run` when it
+    // is built: before the backward passes for kBucketOverlap, which
+    // fires buckets during them, and after them for kPacked, where ND
+    // local kernels draw from `run` first.
     std::optional<comm::OverlappedBucketAllreduce<float>> reducer;
-    if (overlap_exchange) {
+    const auto start_exchange = [&] {
       reducer.emplace(pg, rank_grads,
                       std::span<const std::size_t>(tensor_sizes),
                       std::span<const std::size_t>(emit_order),
                       config.algorithm, comm_ctx, bucketing);
-    }
+    };
+    if (overlap_exchange) start_exchange();
 
     for (std::size_t r = 0; r < ranks; ++r) {
       GraphSageModel::ForwardCache rank_cache;
@@ -192,33 +183,28 @@ TrainResult train_data_parallel(const Dataset& dataset,
           shared_log_probs, dataset.labels, rank_masks[r], local_ctx);
       loss_total += loss.loss;
       result.model.zero_grad();
-      if (overlap_exchange) {
-        // Gradients land per tensor: the sink copies each finished buffer
-        // into this rank's slot and, on the last rank, announces it to
-        // the bucket scheduler - whose reductions then run concurrently
-        // with the remainder of this backward pass when overlap is on.
-        const bool last_rank = r + 1 == ranks;
-        const GradientSink sink = [&, r, last_rank](const Matrix* grad) {
-          const std::size_t t = param_index_of(grad);
-          rank_grads[r][t].assign(grad->data().begin(), grad->data().end());
-          if (last_rank) reducer->notify_slot_ready(slot_of_param[t]);
-        };
-        result.model.backward(cache, loss.d_logits, dataset.graph,
-                              local_ctx, sink);
-      } else {
-        result.model.backward(cache, loss.d_logits, dataset.graph,
-                              local_ctx);
-        rank_grads[r] = gradient_tensors(result.model);
-      }
+      // Gradients land per tensor: the sink copies each finished buffer
+      // into this rank's slot and, for kBucketOverlap on the last rank,
+      // announces it - whose bucket's reduction then runs concurrently
+      // with the remainder of this backward pass when overlap is on.
+      const bool announce = overlap_exchange && r + 1 == ranks;
+      const GradientSink sink = [&, r, announce](const Matrix* grad) {
+        const std::size_t t = param_index_of(grad);
+        rank_grads[r][t].assign(grad->data().begin(), grad->data().end());
+        if (announce) reducer->notify_slot_ready(slot_of_param[t]);
+      };
+      result.model.backward(cache, loss.d_logits, dataset.graph, local_ctx,
+                            sink);
     }
     result.epoch_losses.push_back(loss_total / static_cast<double>(ranks));
 
-    if (overlap_exchange) {
-      combined = reducer->finish();
-    } else {
-      combined = comm::bucketed_allreduce(pg, rank_grads, config.algorithm,
-                                          comm_ctx, bucketing);
+    if (!overlap_exchange) {
+      start_exchange();
+      for (std::size_t s = 0; s < num_params; ++s) {
+        reducer->notify_slot_ready(s);
+      }
     }
+    comm::TensorList<float> combined = reducer->finish();
     // DDP averaging: the exchanged sum of per-shard mean-loss gradients,
     // divided by the rank count (exact for ranks == 1).
     for (auto& tensor : combined) {

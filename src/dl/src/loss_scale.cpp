@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/dtype.hpp"
 
 namespace fpna::dl {
 
@@ -71,11 +71,10 @@ void unscale_gradient(Matrix& grad, float scale,
   // the unscale through bf16 storage would push scaled runs onto a grid
   // the unscaled run never visits and silently break the certified
   // power-of-two neutrality for every mixed storage:accumulate spec.
-  // (visit_storage dispatches on any Dtype; f32/f64/native resolve to the
-  // identity for these float buffers.)
-  fp::detail::visit_storage<float>(spec.accumulate, [&](auto quantize) {
-    for (auto& g : grad.vec()) g = quantize(g * inv);
-  });
+  // (round_to is the identity for f32/f64/native on these float
+  // buffers.)
+  for (auto& g : grad.vec()) g *= inv;
+  fp::round_to<float>(spec.accumulate, grad.vec());
 }
 
 }  // namespace fpna::dl

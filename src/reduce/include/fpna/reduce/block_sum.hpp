@@ -10,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/reduction_spec.hpp"
 
 namespace fpna::reduce {
 
