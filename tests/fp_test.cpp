@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "fpna/core/eval_context.hpp"
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/binned_sum.hpp"
 #include "fpna/fp/bits.hpp"
@@ -19,6 +20,7 @@
 #include "fpna/fp/simd.hpp"
 #include "fpna/fp/summation.hpp"
 #include "fpna/fp/superaccumulator.hpp"
+#include "fpna/reduce/cpu_sum.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/rng.hpp"
 
@@ -36,6 +38,12 @@ std::vector<double> random_values(std::size_t n, double lo, double hi,
   for (auto& x : v) x = dist(rng);
   return v;
 }
+
+// Restores the force-scalar override (and therefore the dispatch tier)
+// however a test exits.
+struct ForceScalarGuard {
+  ~ForceScalarGuard() { set_simd_force_scalar(std::nullopt); }
+};
 
 // ---------------------------------------------------------------- bits --
 
@@ -163,13 +171,27 @@ TEST(Summation, AllAgreeOnExactlyRepresentableData) {
 }
 
 TEST(Summation, NeumaierHandlesLargeThenSmall) {
-  // Classic Kahan failure case: the first element is much larger than
-  // the running sum at add time.
+  // Neumaier's defining case (the classic Kahan failure): an addend much
+  // larger than the running sum at add time. The textbook compensation
+  // comp + ((big - t) + small) recovers both ones.
   const std::vector<double> v{1.0, 1e100, 1.0, -1e100};
-  EXPECT_EQ(sum_neumaier(v), 2.0);
+  core::EvalContext ctx;
+  ctx.accumulator = ReductionSpec{AlgorithmId::kNeumaier};
+  EXPECT_EQ(fpna::reduce::cpu_sum(v, ctx, 1), 2.0);
   EXPECT_EQ(sum_klein(v), 2.0);
   EXPECT_EQ(Superaccumulator::sum(v), 2.0);
   EXPECT_EQ(sum_serial(v), 0.0);  // naive sum loses both ones
+
+  // The same case dealt onto lane 0 of neumaier@simd4 (the other lanes
+  // add zeros), through the intrinsics kernel and the lane emulation.
+  std::vector<double> dealt(4 * v.size(), 0.0);
+  for (std::size_t i = 0; i < v.size(); ++i) dealt[4 * i] = v[i];
+  ctx.accumulator = parse_reduction_spec("neumaier@simd4");
+  ForceScalarGuard guard;
+  for (const bool force : {false, true}) {
+    set_simd_force_scalar(force);
+    EXPECT_EQ(fpna::reduce::cpu_sum(dealt, ctx, 1), 2.0) << force;
+  }
 }
 
 TEST(Summation, CompensatedBeatsSerialOnIllConditioned) {
@@ -757,6 +779,76 @@ TEST(AlgorithmCatalogue, StreamingAccumulatorsWorkInFloat) {
   }
 }
 
+// One association per spec: fp::reduce, reduce::cpu_sum at one chunk,
+// the fold table's sum_run and the spec's accumulator streamed by hand
+// one element at a time must give the same bits - every catalogue row at
+// every lane count, plus dtype-qualified specs, on mixed-magnitude
+// inputs whose lengths leave a ragged tail for every lane count.
+
+/// The spec's stream, hand-fed: each addend quantized to the storage
+/// dtype and added one at a time to the accumulator the visitors name.
+template <typename N>
+N hand_streamed(const ReductionSpec& spec, std::span<const N> values) {
+  return visit_algorithm(spec.algorithm, [&](auto algorithm) {
+    return visit_lanes<decltype(algorithm)>(spec.lanes, [&](auto tag) {
+      return visit_dtypes<N>(spec, [&](auto acc_c, auto quantize) {
+        using A = typename decltype(acc_c)::type;
+        typename decltype(tag)::template accumulator_t<A> acc;
+        for (const N x : values) acc.add(static_cast<A>(quantize(x)));
+        return static_cast<N>(acc.result());
+      });
+    });
+  });
+}
+
+TEST(AlgorithmCatalogue, OneAssociationPerSpecAtEveryEntryPoint) {
+  std::vector<ReductionSpec> specs;
+  for (const auto& entry : kAlgorithms) {
+    for (const std::size_t lanes : kSimdLaneCounts) {
+      ReductionSpec spec{entry.id};
+      spec.lanes = lanes;
+      specs.push_back(spec);
+    }
+  }
+  for (const char* name :
+       {"serial@f32:f32", "serial@bf16:f32", "serial@bf16:bf16",
+        "pairwise@f32:f32", "pairwise@bf16:f32", "kahan@f32:f32",
+        "kahan@bf16:f32", "kahan@bf16:bf16", "kahan@simd8:bf16:f32",
+        "neumaier@simd4:f32:f32", "superaccumulator@f32:f32",
+        "superaccumulator@bf16:f32", "superaccumulator@bf16:bf16",
+        "binned@bf16:f32"}) {
+    specs.push_back(parse_reduction_spec(name));
+  }
+  util::Xoshiro256pp rng(2203);
+  for (std::size_t trial = 0; trial < 12; ++trial) {
+    // n mod 4 in {1, 2, 3}: never a whole number of 4-, 8- or 16-lane rows.
+    const std::size_t n = 4 * (rng() % 500) + 1 + trial % 3;
+    std::vector<double> v(n);
+    for (auto& x : v) {
+      const double mag = std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
+      x = ((rng() & 1) ? mag : -mag) *
+          (1.0 + static_cast<double>(rng() % 1000) * 1e-3);
+    }
+    const std::vector<float> vf(v.begin(), v.end());
+    for (const auto& spec : specs) {
+      SCOPED_TRACE(to_string(spec) + " n=" + std::to_string(n));
+      const double streamed = hand_streamed<double>(spec, v);
+      core::EvalContext ctx;
+      ctx.accumulator = spec;
+      EXPECT_TRUE(bitwise_equal(reduce<double>(spec, v), streamed));
+      EXPECT_TRUE(
+          bitwise_equal(fpna::reduce::cpu_sum(v, ctx, 1), streamed));
+      EXPECT_TRUE(bitwise_equal(
+          Fold<double>::of(spec).sum_run(v.data(), v.size(), 1), streamed));
+      const float streamed32 = hand_streamed<float>(spec, vf);
+      EXPECT_TRUE(bitwise_equal32(reduce<float>(spec, vf), streamed32));
+      EXPECT_TRUE(bitwise_equal32(
+          Fold<float>::of(spec).sum_run(vf.data(), vf.size(), 1),
+          streamed32));
+    }
+  }
+}
+
 // ---------------------------------------------------- bf16 & dtype axis --
 
 TEST(Bf16, RoundTripThroughFloatIsExact) {
@@ -1027,12 +1119,6 @@ TEST(ReductionSpec, Bf16AccumulateDriftsFurtherThanMixedPrecision) {
 }
 
 // ------------------------------------------------- SIMD lane blocking --
-
-// Restores the force-scalar override (and therefore the dispatch tier)
-// however a test exits.
-struct ForceScalarGuard {
-  ~ForceScalarGuard() { set_simd_force_scalar(std::nullopt); }
-};
 
 TEST(Simd, SupportAndForceScalarRoundTrip) {
   ForceScalarGuard guard;
