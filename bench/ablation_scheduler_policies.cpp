@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "fpna/core/harness.hpp"
-#include "fpna/fp/summation.hpp"
 #include "fpna/reduce/block_sum.hpp"
 #include "fpna/sim/scheduler.hpp"
 #include "fpna/stats/histogram.hpp"

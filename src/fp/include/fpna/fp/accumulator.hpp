@@ -3,14 +3,14 @@
 // every algorithm of the catalogue (algorithm_id.hpp) the toolkit's
 // reductions select from.
 //
-// Two complementary interfaces per algorithm:
-//
-//  * a one-shot reduction that reproduces the historic free functions of
-//    summation.hpp bit for bit (fp::reduce for the native double spec);
-//  * a stateful Accumulator type for element-at-a-time streaming and
-//    chunk-merge use (thread partials, block partials, per-destination
-//    scatter reductions). Streaming state is merged with `merge`, which is
-//    exact for the reproducible algorithms and deterministic for all.
+// Each algorithm is one stateful Accumulator type, and it is the only
+// implementation of the algorithm: every entry point - fp::reduce, the
+// fold table's operations and every kernel built on them - streams the
+// same accumulator, so a spec names one association everywhere.
+// Element-at-a-time streaming and chunk-merge use (thread partials,
+// block partials, per-destination scatter reductions) share it; state is
+// merged with `merge`, which is exact for the reproducible algorithms and
+// deterministic for all.
 //
 // The layer is dtype-polymorphic (see reduction_spec.hpp): every
 // algorithm instantiates at double, float and the software bf16, and the
@@ -41,7 +41,6 @@
 #include "fpna/fp/fold.hpp"
 #include "fpna/fp/reduction_spec.hpp"
 #include "fpna/fp/simd.hpp"
-#include "fpna/fp/summation.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 
 namespace fpna::fp {
@@ -91,24 +90,24 @@ class SerialAccumulator {
 
 /// Streaming cascade (binary-counter pairwise): base blocks of kBase
 /// elements are summed serially, then combined in binary-carry order - the
-/// same O(log n) error growth as the recursive cascade of sum_pairwise,
-/// with O(log n) state instead of the whole input.
+/// O(log n) error growth of the recursive cascade, with O(log n) state
+/// instead of the whole input.
 ///
-/// Parity contract with the one-shot sum_pairwise(v, 32) (pinned by
-/// regression tests in fp_test):
+/// Parity contract with the recursive power-of-two cascade with 32-element
+/// serial leaves (pinned against a reference in fp_test):
 ///
-///   * streaming one whole span through add() yields the one-shot result
-///     bit for bit: sum_pairwise splits at the largest power of two
+///   * streaming one whole span through add() yields the cascade's result
+///     bit for bit: the cascade splits at the largest power of two
 ///     strictly below n, so every leaf is a serial fold of the same
 ///     32-aligned block and every internal add pairs the same binary-
 ///     counter levels in the same left/right order the carry chain and
 ///     result() use (signed-zero caveat: result() seeds the fold with
 ///     +0.0, so an input whose lowest-level partial is -0.0 rounds to
-///     +0.0 where the one-shot preserves -0.0);
+///     +0.0 where the recursive cascade preserves -0.0);
 ///   * merge() does NOT splice the other cascade's levels - it folds the
 ///     other accumulator's *rounded* result in as one element of this
 ///     stream. Chunked accumulation therefore associates the chunk
-///     boundaries differently from the one-shot over the concatenated
+///     boundaries differently from one stream over the concatenated
 ///     input and generally lands on different bits (deterministic for a
 ///     fixed chunking; exact_merge stays false). This is the documented
 ///     behaviour, chosen over splicing: splicing would make merge bits
@@ -194,18 +193,23 @@ class KahanAccumulator {
   T comp_{};
 };
 
-/// Neumaier's improvement of Kahan (additive correction term).
+/// Neumaier's improvement of Kahan (Neumaier, ZAMM 1974): the rounding
+/// error of each add, (big - t) + small with big the larger-magnitude
+/// operand, is accumulated whole into a separate correction term,
+/// comp + ((big - t) + small), which result() adds back once.
 template <typename T = double>
 class NeumaierAccumulator {
  public:
   using value_type = T;
   void add(T x) noexcept {
     const T t = static_cast<T>(sum_ + x);
+    T err;
     if (abs_(sum_) >= abs_(x)) {
-      comp_ = static_cast<T>(comp_ + static_cast<T>(sum_ - t) + x);
+      err = static_cast<T>(static_cast<T>(sum_ - t) + x);
     } else {
-      comp_ = static_cast<T>(comp_ + static_cast<T>(x - t) + sum_);
+      err = static_cast<T>(static_cast<T>(x - t) + sum_);
     }
+    comp_ = static_cast<T>(comp_ + err);
     sum_ = t;
   }
   void add(std::span<const T> values) noexcept {
@@ -535,91 +539,63 @@ static_assert(Accumulator<LaneBlockedAccumulator<LongAccumulator<double>, 4>>);
 // ---------------------------------------------------------------- tags --
 
 // One tag type per algorithm. A tag carries the streaming accumulator
-// template and the canonical one-shot reduction (bitwise identical to the
-// historic free function for double) - everything the static visitor
-// hands to a monomorphised hot loop. Names and traits live in the
-// catalogue (algorithm_id.hpp).
+// template - everything the static visitor hands to a monomorphised hot
+// loop. Names and traits live in the catalogue (algorithm_id.hpp).
 
 namespace tags {
 
 struct Serial {
   template <typename T>
   using accumulator_t = SerialAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_serial(v);
-  }
 };
 
 struct Pairwise {
   template <typename T>
   using accumulator_t = PairwiseAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_pairwise(v, 32);
-  }
 };
 
 struct Kahan {
   template <typename T>
   using accumulator_t = KahanAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_kahan(v);
-  }
 };
 
 struct Neumaier {
   template <typename T>
   using accumulator_t = NeumaierAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_neumaier(v);
-  }
 };
 
 struct Klein {
   template <typename T>
   using accumulator_t = KleinAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_klein(v);
-  }
 };
 
 struct DoubleDoubleTag {
   template <typename T>
   using accumulator_t = DoubleDoubleAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_double_double(v);
-  }
 };
 
 struct Vectorized {
   template <typename T>
   using accumulator_t = VectorizedAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return sum_vectorized(v, 4);
-  }
 };
 
 struct Binned {
   template <typename T>
   using accumulator_t = BinnedAccumulator<T>;
-  static double reduce(std::span<const double> v) { return BinnedSum::sum(v); }
 };
 
 struct Super {
   template <typename T>
   using accumulator_t = LongAccumulator<T>;
-  static double reduce(std::span<const double> v) noexcept {
-    return Superaccumulator::sum(v);
-  }
 };
 
 /// Lane-blocked wrapper tag: Tag's algorithm with the accumulator swapped
-/// for the L-lane blocking, and no one-shot reduce of its own (its folds
-/// stream through the lane-blocked accumulator). Tag's catalogue traits
-/// carry over verbatim: lane-blocking is deterministic for a fixed L (the
-/// lane assignment i mod L and the fold order are pinned), and it
-/// preserves permutation-invariance/exact-merge exactly when Base has
-/// them (exact lanes fold exactly; for order-sensitive bases both the
-/// scalar and the lane-blocked association are order-sensitive).
+/// for the L-lane blocking. Tag's catalogue traits carry over verbatim:
+/// lane-blocking is deterministic for a fixed L (the lane assignment
+/// i mod L and the fold order are pinned), and it preserves
+/// permutation-invariance/exact-merge exactly when Base has them (exact
+/// lanes fold exactly; for order-sensitive bases both the scalar and the
+/// lane-blocked association are order-sensitive).
 template <typename Tag, std::size_t L>
 struct Simd {
   template <typename T>
@@ -631,7 +607,7 @@ struct Simd {
 
 /// Static visitor: one switch per reduction *call*, monomorphised inner
 /// loops. `f` receives the tag by value and can read its accumulator_t
-/// and reduce without any virtual dispatch. An id outside the enum
+/// without any virtual dispatch. An id outside the enum
 /// (e.g. cast from an untrusted config integer) throws rather than
 /// silently computing a different algorithm - in a toolkit certifying
 /// which algorithm produced which bits, a quiet fallback would be a

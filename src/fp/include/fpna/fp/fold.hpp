@@ -75,9 +75,6 @@ struct Fold {
   void (*results)(const void* states, N* out, std::size_t count);
 
   // ---- whole folds ----------------------------------------------------
-  /// One-shot reduction. For the native double spec at lanes 1 this is
-  /// the algorithm's historic free function (summation.hpp), bit for bit.
-  N (*reduce)(std::span<const N> values);
   /// A fresh stream over x[0], x[stride], ... (n elements).
   N (*sum_run)(const N* x, std::size_t n, std::ptrdiff_t stride);
   /// A fresh stream over base[index[0]], base[index[1]], ...
@@ -149,11 +146,13 @@ class FoldStates {
   std::unique_ptr<std::max_align_t[]> data_;
 };
 
-/// One-shot dtype-polymorphic reduction (Fold<T>::of(spec).reduce): the
-/// native double spec at lanes 1 is the historic free function; any
-/// other spec quantizes every addend to the storage dtype and streams it
-/// through the algorithm's accumulator at the accumulate dtype. A bare
-/// AlgorithmId converts to its native spec.
+/// One-shot dtype-polymorphic reduction: Fold<T>::of(spec).sum_run over
+/// `values`, one fresh stream - every addend quantized to the storage
+/// dtype and streamed through the algorithm's accumulator at the
+/// accumulate dtype. The same spec gives the same bits here as in every
+/// kernel that streams the same values through one state (cpu_sum at one
+/// chunk, the fold table's operations). A bare AlgorithmId converts to
+/// its native spec.
 template <typename T>
 T reduce(const ReductionSpec& spec, std::span<const T> values);
 

@@ -34,7 +34,7 @@ template struct Fold<double>;
 
 template <typename T>
 T reduce(const ReductionSpec& spec, std::span<const T> values) {
-  return Fold<T>::of(spec).reduce(values);
+  return Fold<T>::of(spec).sum_run(values.data(), values.size(), 1);
 }
 template float reduce<float>(const ReductionSpec&, std::span<const float>);
 template double reduce<double>(const ReductionSpec&, std::span<const double>);

@@ -80,16 +80,6 @@ struct FoldOps {
     }
   }
 
-  static N reduce(std::span<const N> values) {
-    // The historic free function where the tag has one (the lane-blocked
-    // tags do not).
-    if constexpr (std::is_same_v<N, double> && kBulk &&
-                  requires(std::span<const double> v) { Tag::reduce(v); }) {
-      return Tag::reduce(values);
-    } else {
-      return sum_run(values.data(), values.size(), 1);
-    }
-  }
   static N sum_run(const N* x, std::size_t n, std::ptrdiff_t stride) {
     Acc acc;
     add_run(&acc, x, n, stride);
@@ -171,9 +161,8 @@ struct FoldOps {
   }
   static constexpr Fold<N> table() noexcept {
     Fold<N> ops{sizeof(Acc), &construct, &destroy, &seed,    &add_run,
-                &add_each,   &merge,     &results, &reduce,  &sum_run,
-                &sum_gather, &prefix,    nullptr,  nullptr,  &scatter,
-                nullptr};
+                &add_each,   &merge,     &results, &sum_run, &sum_gather,
+                &prefix,     nullptr,    nullptr,  &scatter, nullptr};
     // Only the float dense kernels (dl::Matrix) fold rows: the double
     // tables leave the row ops uninstantiated.
     if constexpr (std::is_same_v<N, float>) {

@@ -99,13 +99,13 @@ struct NeumaierStep {
     const Vec s = st[0];
     const Vec t = Vec::add(s, x);
     // Branchless transcription of the |sum| >= |x| branch pair: both
-    // arms compute (comp + (big - t)) + small with big/small selected by
+    // arms compute comp + ((big - t) + small) with big/small selected by
     // the compare, so a blend IS the branch. GE ordered-quiet is false
     // for NaN, exactly like the scalar compare.
     const typename Vec::mask m = Vec::ge_abs(s, x);
     const Vec big = Vec::select(m, s, x);
     const Vec small = Vec::select(m, x, s);
-    st[1] = Vec::add(Vec::add(st[1], Vec::sub(big, t)), small);
+    st[1] = Vec::add(st[1], Vec::add(Vec::sub(big, t), small));
     st[0] = t;
   }
 };
@@ -117,8 +117,9 @@ struct KleinStep {
     const Vec s = st[0];
     const Vec t = Vec::add(s, x);
     const typename Vec::mask m1 = Vec::ge_abs(s, x);
-    // Klein associates the correction as (big - t) + small (unlike
-    // Neumaier's (comp + (big - t)) + small) - transcribed exactly.
+    // Both of Klein's levels compute the error of their add as
+    // (big - t) + small, Neumaier's step; the first level's error c feeds
+    // the second, whose error is accumulated in ccs - transcribed exactly.
     const Vec c = Vec::add(Vec::sub(Vec::select(m1, s, x), t),
                            Vec::select(m1, x, s));
     st[0] = t;

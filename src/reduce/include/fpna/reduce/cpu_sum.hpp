@@ -22,9 +22,10 @@
 namespace fpna::reduce {
 
 /// Chunked reduction through the context's registry-selected accumulator:
-/// one accumulator per static chunk, partial states merged into the total
-/// in chunk-index order (deterministic) or in a completion order drawn
-/// from ctx.run (when ctx.nondeterministic()). With ctx.pool set the
+/// one accumulator per static chunk, the partial states merged in
+/// chunk-index order (deterministic) or in a completion order drawn
+/// from ctx.run (when ctx.nondeterministic()); the first partial in that
+/// order is the total, so one chunk gives fp::reduce's bits for the spec. With ctx.pool set the
 /// chunks run on real threads; merge order stays chunk-index
 /// (deterministic) unless the context opts into non-determinism - by
 /// carrying a run identity or explicitly setting deterministic_override =

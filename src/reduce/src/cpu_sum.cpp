@@ -59,8 +59,17 @@ double cpu_sum(std::span<const double> data, const core::EvalContext& ctx,
       fp::Fold<double>::of(ctx.reduction_in_effect());
   const auto ranges = static_chunks(data.size(), num_threads);
   fp::FoldStates<double> states(fold, ranges.size());
-  fp::FoldStates<double> totals(fold, 1);
-  void* total = totals[0];
+  // The total is the first partial in merge order, and every later one
+  // merges into it - no empty state in front, so one chunk's total is
+  // that chunk's stream, bit for bit the one-shot fp::reduce.
+  void* total = nullptr;
+  const auto merge_chunk = [&](std::size_t c) {
+    if (total == nullptr) {
+      total = states[c];
+    } else {
+      fold.merge(total, states[c], 1);
+    }
+  };
   // Chunk provenance: the partials' fingerprints, emitted from the
   // calling thread in chunk order, so per-thread provenance seq is
   // pool-schedule-invariant.
@@ -95,7 +104,7 @@ double cpu_sum(std::span<const double> data, const core::EvalContext& ctx,
               chunk_bits[c] = partial_bits(fold, states[c]);
             }
             const std::lock_guard lock(mutex);
-            fold.merge(total, states[c], 1);
+            merge_chunk(c);
           }
         },
         ranges.size());
@@ -110,10 +119,10 @@ double cpu_sum(std::span<const double> data, const core::EvalContext& ctx,
       auto rng = ctx.run->fork(0xCB);
       util::shuffle(order, rng);
     }
-    for (const std::size_t c : order) fold.merge(total, states[c], 1);
     for (std::size_t c = 0; c < chunk_bits.size(); ++c) {
       chunk_bits[c] = partial_bits(fold, states[c]);
     }
+    for (const std::size_t c : order) merge_chunk(c);
   }
   double result = 0.0;
   fold.results(total, &result, 1);

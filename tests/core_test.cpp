@@ -14,12 +14,17 @@
 #include "fpna/core/harness.hpp"
 #include "fpna/core/metrics.hpp"
 #include "fpna/core/run_context.hpp"
-#include "fpna/fp/summation.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/thread_pool.hpp"
 
 namespace fpna::core {
 namespace {
+
+/// The serial left-to-right sum.
+double serial_sum(std::span<const double> values) {
+  return fp::reduce<double>(fp::AlgorithmId::kSerial, values);
+}
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -212,10 +217,10 @@ double nd_sum_kernel(RunContext& ctx) {
   auto v = fixed_data();
   auto rng = ctx.fork(0);
   util::shuffle(v, rng);
-  return fp::sum_serial(v);
+  return serial_sum(v);
 }
 
-double d_sum_kernel(RunContext&) { return fp::sum_serial(fixed_data()); }
+double d_sum_kernel(RunContext&) { return serial_sum(fixed_data()); }
 
 TEST(ScalarHarness, DetectsVariability) {
   const auto report =
@@ -224,7 +229,7 @@ TEST(ScalarHarness, DetectsVariability) {
   EXPECT_EQ(report.vs_samples.size(), 50u);
   EXPECT_GT(report.vs_summary.max, report.vs_summary.min);
   EXPECT_LT(report.reproducible_fraction, 1.0);
-  EXPECT_EQ(report.reference_value, fp::sum_serial(fixed_data()));
+  EXPECT_EQ(report.reference_value, serial_sum(fixed_data()));
 }
 
 TEST(ScalarHarness, DeterministicKernelScoresZero) {
@@ -254,14 +259,14 @@ std::vector<double> nd_array_kernel(RunContext& ctx) {
   auto rng = ctx.fork(1);
   util::shuffle(v, rng);
   const std::span<const double> s(v);
-  return {fp::sum_serial(s.first(1000)), fp::sum_serial(s.subspan(1000)),
+  return {serial_sum(s.first(1000)), serial_sum(s.subspan(1000)),
           42.0};
 }
 
 std::vector<double> d_array_kernel(RunContext&) {
   const auto v = fixed_data();
   const std::span<const double> s(v);
-  return {fp::sum_serial(s.first(1000)), fp::sum_serial(s.subspan(1000)),
+  return {serial_sum(s.first(1000)), serial_sum(s.subspan(1000)),
           42.0};
 }
 

@@ -18,7 +18,6 @@
 #include "fpna/fp/double_double.hpp"
 #include "fpna/fp/eft.hpp"
 #include "fpna/fp/simd.hpp"
-#include "fpna/fp/summation.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 #include "fpna/reduce/cpu_sum.hpp"
 #include "fpna/util/permutation.hpp"
@@ -137,20 +136,34 @@ TEST(Eft, TwoProdIsExact) {
 
 // ------------------------------------------------------------ summation --
 
+/// The reference PairwiseAccumulator certifies against: the recursive
+/// power-of-two cascade, split at the largest power of two strictly
+/// below n, with serial leaves of at most 32 elements.
+double cascade_sum(std::span<const double> values) {
+  if (values.size() <= 32) {
+    double sum = 0.0;
+    for (const double x : values) sum += x;
+    return sum;
+  }
+  std::size_t half = 1;
+  while (half * 2 < values.size()) half *= 2;
+  return cascade_sum(values.first(half)) + cascade_sum(values.subspan(half));
+}
+
 TEST(Summation, SerialMatchesStdAccumulateOrder) {
   const std::vector<double> v{1.0, 1e-16, 1e-16, 1e-16};
   double expected = 0.0;
   for (const double x : v) expected += x;
-  EXPECT_EQ(sum_serial(v), expected);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kSerial, v), expected);
 }
 
 TEST(Summation, EmptyAndSingle) {
   const std::vector<double> empty;
-  EXPECT_EQ(sum_serial(empty), 0.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kSerial, empty), 0.0);
   const std::vector<double> one{42.0};
-  EXPECT_EQ(sum_serial(one), 42.0);
-  EXPECT_EQ(sum_pairwise(one), 42.0);
-  EXPECT_EQ(sum_kahan(one), 42.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kSerial, one), 42.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kPairwise, one), 42.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kKahan, one), 42.0);
 }
 
 TEST(Summation, AllAgreeOnExactlyRepresentableData) {
@@ -159,14 +172,9 @@ TEST(Summation, AllAgreeOnExactlyRepresentableData) {
   std::vector<double> v;
   for (int i = 1; i <= 1000; ++i) v.push_back(i);
   const double exact = 500500.0;
-  EXPECT_EQ(sum_serial(v), exact);
-  EXPECT_EQ(sum_pairwise(v), exact);
-  EXPECT_EQ(sum_pairwise(v, 1), exact);
-  EXPECT_EQ(sum_kahan(v), exact);
-  EXPECT_EQ(sum_neumaier(v), exact);
-  EXPECT_EQ(sum_klein(v), exact);
-  EXPECT_EQ(sum_double_double(v), exact);
-  EXPECT_EQ(sum_vectorized(v), exact);
+  for (const auto& entry : kAlgorithms) {
+    EXPECT_EQ(reduce<double>(entry.id, v), exact) << entry.name;
+  }
   EXPECT_EQ(Superaccumulator::sum(v), exact);
 }
 
@@ -178,9 +186,11 @@ TEST(Summation, NeumaierHandlesLargeThenSmall) {
   core::EvalContext ctx;
   ctx.accumulator = ReductionSpec{AlgorithmId::kNeumaier};
   EXPECT_EQ(fpna::reduce::cpu_sum(v, ctx, 1), 2.0);
-  EXPECT_EQ(sum_klein(v), 2.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kNeumaier, v), 2.0);
+  EXPECT_EQ(reduce<double>(AlgorithmId::kKlein, v), 2.0);
   EXPECT_EQ(Superaccumulator::sum(v), 2.0);
-  EXPECT_EQ(sum_serial(v), 0.0);  // naive sum loses both ones
+  // The naive sum loses both ones.
+  EXPECT_EQ(reduce<double>(AlgorithmId::kSerial, v), 0.0);
 
   // The same case dealt onto lane 0 of neumaier@simd4 (the other lanes
   // add zeros), through the intrinsics kernel and the lane emulation.
@@ -197,43 +207,40 @@ TEST(Summation, NeumaierHandlesLargeThenSmall) {
 TEST(Summation, CompensatedBeatsSerialOnIllConditioned) {
   const auto v = random_values(100000, -1.0, 1.0, 3);
   const double reference = Superaccumulator::sum(v);
-  const double serial_err = std::fabs(sum_serial(v) - reference);
-  const double kahan_err = std::fabs(sum_kahan(v) - reference);
-  const double dd_err = std::fabs(sum_double_double(v) - reference);
-  EXPECT_LE(kahan_err, serial_err);
-  EXPECT_LE(dd_err, serial_err);
+  const auto error = [&](AlgorithmId id) {
+    return std::fabs(reduce<double>(id, v) - reference);
+  };
+  const double serial_err = error(AlgorithmId::kSerial);
+  EXPECT_LE(error(AlgorithmId::kKahan), serial_err);
+  EXPECT_LE(error(AlgorithmId::kNeumaier), serial_err);
+  EXPECT_LE(error(AlgorithmId::kDoubleDouble), serial_err);
 }
 
-TEST(Summation, PairwiseBaseCaseDoesNotChangeExactness) {
+TEST(Summation, PairwiseStaysNearExact) {
   const auto v = random_values(1237, 0.0, 10.0, 5);
-  // Different base cases give different (all deterministic) roundings,
-  // each within a tight bound of the exact sum.
-  const double exact = Superaccumulator::sum(v);
-  for (const std::size_t base : {1u, 2u, 8u, 32u, 128u}) {
-    EXPECT_NEAR(sum_pairwise(v, base), exact, 1e-9);
-  }
+  EXPECT_NEAR(reduce<double>(AlgorithmId::kPairwise, v),
+              Superaccumulator::sum(v), 1e-9);
 }
 
 TEST(Summation, PairwiseStreamingParityWithOneShot) {
   // Pins the PairwiseAccumulator parity contract (see the header): a
-  // whole span streamed through add() reproduces one-shot
-  // sum_pairwise(v, 32) bit for bit - the one-shot's power-of-two splits
-  // fold the same 32-aligned blocks in the same binary-counter order -
-  // for every tail length.
+  // whole span streamed through add() reproduces the recursive cascade
+  // bit for bit - the cascade's power-of-two splits fold the same
+  // 32-aligned blocks in the same binary-counter order - for every tail
+  // length.
   for (const std::size_t n :
        {1u, 5u, 31u, 32u, 33u, 63u, 64u, 96u, 100u, 1237u, 4096u, 100001u}) {
     const auto v = random_values(n, -1e6, 1e6, 11 + n);
     PairwiseAccumulator<double> acc;
     acc.add(std::span<const double>(v));
-    EXPECT_TRUE(bitwise_equal(acc.result(), sum_pairwise(v, 32)))
-        << "n = " << n;
+    EXPECT_TRUE(bitwise_equal(acc.result(), cascade_sum(v))) << "n = " << n;
   }
 }
 
 TEST(Summation, PairwiseMergeAssociatesTailDifferently) {
   // The other half of the contract: merge() folds the other cascade's
   // *rounded* result in as a single element, so chunked accumulation
-  // associates the chunk boundary differently from the one-shot over the
+  // associates the chunk boundary differently from the cascade over the
   // concatenation. On ill-conditioned data the bits move (while staying
   // deterministic for a fixed chunking) - pinned here so a future
   // "fix" that silently changes merge association fails loudly.
@@ -258,7 +265,7 @@ TEST(Summation, PairwiseMergeAssociatesTailDifferently) {
       return a.result();
     };
     const double merged = chunked();
-    if (!bitwise_equal(merged, sum_pairwise(v, 32))) ++diverged;
+    if (!bitwise_equal(merged, cascade_sum(v))) ++diverged;
     // Deterministic for the fixed chunking even where it diverges.
     EXPECT_TRUE(bitwise_equal(merged, chunked()));
   }
@@ -271,18 +278,13 @@ TEST(Summation, VectorizedLanesChangeRounding) {
   // Demonstrates the TPRC compiler-sensitivity the paper mentions: lane
   // count changes association, and may change the rounded value.
   const auto v = random_values(100001, -1.0, 1.0, 7);
-  const double s1 = sum_vectorized(v, 1);
-  EXPECT_EQ(s1, sum_serial(v));
   const double exact = Superaccumulator::sum(v);
-  for (const std::size_t lanes : {2u, 4u, 8u}) {
-    EXPECT_NEAR(sum_vectorized(v, lanes), exact, 1e-10);
+  EXPECT_NEAR(reduce<double>(AlgorithmId::kVectorized, v), exact, 1e-10);
+  for (const std::size_t lanes : {4u, 8u, 16u}) {
+    ReductionSpec spec{AlgorithmId::kSerial};
+    spec.lanes = lanes;
+    EXPECT_NEAR(reduce<double>(spec, v), exact, 1e-10) << lanes;
   }
-}
-
-TEST(Summation, DotSerial) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{4.0, 5.0, 6.0};
-  EXPECT_EQ(dot_serial(a, b), 32.0);
 }
 
 // -------------------------------------------------------- double-double --
@@ -509,7 +511,7 @@ TEST(Superaccumulator, MergeEqualsBulkAdd) {
 TEST(Superaccumulator, RoundIsFaithfulAgainstKlein) {
   const auto v = random_values(50000, -1e6, 1e6, 17);
   const double super = Superaccumulator::sum(v);
-  const double klein = sum_klein(v);
+  const double klein = reduce<double>(AlgorithmId::kKlein, v);
   // Klein's result is itself within a couple of ulps of exact; the
   // superaccumulator must land within 1 ulp of it.
   EXPECT_LE(ulp_distance(super, klein), 2);
@@ -670,17 +672,38 @@ TEST(AlgorithmCatalogue, UnknownNameThrowsWithCatalogue) {
   }
 }
 
-TEST(AlgorithmCatalogue, OneShotMatchesHistoricFreeFunctions) {
+TEST(AlgorithmCatalogue, OneShotMatchesTextbookLoops) {
+  // fp::reduce against each algorithm written out as its textbook loop
+  // (or, for the exact ones, the exact state type's own sum).
   const auto v = random_values(10000, -1e6, 1e6, 77);
-  EXPECT_TRUE(bitwise_equal(sum_named("serial", v), sum_serial(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("pairwise", v), sum_pairwise(v, 32)));
-  EXPECT_TRUE(bitwise_equal(sum_named("kahan", v), sum_kahan(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("neumaier", v), sum_neumaier(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("klein", v), sum_klein(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("double_double", v),
-                            sum_double_double(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("vectorized", v),
-                            sum_vectorized(v, 4)));
+  double serial = 0.0;
+  double kahan = 0.0, kahan_comp = 0.0;
+  double neumaier = 0.0, neumaier_comp = 0.0;
+  double lanes[4] = {};
+  DoubleDouble dd;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double x = v[i];
+    serial += x;
+    const double y = x - kahan_comp;
+    const double t = kahan + y;
+    kahan_comp = (t - kahan) - y;
+    kahan = t;
+    const double u = neumaier + x;
+    neumaier_comp += std::fabs(neumaier) >= std::fabs(x)
+                         ? (neumaier - u) + x
+                         : (x - u) + neumaier;
+    neumaier = u;
+    lanes[i % 4] += x;
+    dd += x;
+  }
+  const double vectorized = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+  EXPECT_TRUE(bitwise_equal(sum_named("serial", v), serial));
+  EXPECT_TRUE(bitwise_equal(sum_named("pairwise", v), cascade_sum(v)));
+  EXPECT_TRUE(bitwise_equal(sum_named("kahan", v), kahan));
+  EXPECT_TRUE(bitwise_equal(sum_named("neumaier", v),
+                            neumaier + neumaier_comp));
+  EXPECT_TRUE(bitwise_equal(sum_named("double_double", v), dd.to_double()));
+  EXPECT_TRUE(bitwise_equal(sum_named("vectorized", v), vectorized));
   EXPECT_TRUE(bitwise_equal(sum_named("binned", v), BinnedSum::sum(v)));
   EXPECT_TRUE(bitwise_equal(sum_named("superaccumulator", v),
                             Superaccumulator::sum(v)));
@@ -1351,12 +1374,13 @@ TEST(Superaccumulator, AddWireMatchesDeserializeAdd) {
 // same data (this is the premise of the whole paper).
 TEST(Summation, SerialSumIsOrderSensitive) {
   auto v = random_values(100000, -1e10, 1e10, 23);
-  const double first = sum_serial(v);
+  const double first = reduce<double>(AlgorithmId::kSerial, v);
   util::Xoshiro256pp rng(5);
   bool any_different = false;
   for (int trial = 0; trial < 10 && !any_different; ++trial) {
     util::shuffle(v, rng);
-    any_different = !bitwise_equal(sum_serial(v), first);
+    any_different =
+        !bitwise_equal(reduce<double>(AlgorithmId::kSerial, v), first);
   }
   EXPECT_TRUE(any_different);
 }

@@ -11,7 +11,7 @@
 #include "fpna/core/metrics.hpp"
 #include "fpna/dl/dataset.hpp"
 #include "fpna/dl/trainer.hpp"
-#include "fpna/fp/summation.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 #include "fpna/reduce/cpu_sum.hpp"
 #include "fpna/reduce/gpu_sum.hpp"
@@ -26,6 +26,11 @@
 
 namespace fpna {
 namespace {
+
+/// The serial left-to-right sum.
+double serial_sum(std::span<const double> values) {
+  return fp::reduce<double>(fp::AlgorithmId::kSerial, values);
+}
 
 std::vector<double> uniform_array(std::size_t n, std::uint64_t seed,
                                   double lo = 0.0, double hi = 10.0) {
@@ -44,13 +49,13 @@ TEST(Integration, Table1PermutationScale) {
   for (const std::size_t n : {1000u, 100000u}) {
     std::vector<double> v(n);
     for (auto& x : v) x = dist(rng);
-    const double s_d = fp::sum_serial(v);
+    const double s_d = serial_sum(v);
     util::Xoshiro256pp shuffle_rng(2);
     double max_abs_vs = 0.0;
     for (int rep = 0; rep < 10; ++rep) {
       util::shuffle(v, shuffle_rng);
       max_abs_vs =
-          std::max(max_abs_vs, std::fabs(core::vs(fp::sum_serial(v), s_d)));
+          std::max(max_abs_vs, std::fabs(core::vs(serial_sum(v), s_d)));
     }
     EXPECT_GT(max_abs_vs, 0.0);
     EXPECT_LT(max_abs_vs, 1e-9);  // still a relative-rounding-scale effect

@@ -13,7 +13,6 @@
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/bits.hpp"
 #include "fpna/fp/simd.hpp"
-#include "fpna/fp/summation.hpp"
 #include "fpna/fp/superaccumulator.hpp"
 #include "fpna/reduce/block_sum.hpp"
 #include "fpna/reduce/cpu_sum.hpp"
