@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/bits.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/table.hpp"

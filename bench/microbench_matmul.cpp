@@ -41,7 +41,7 @@
 #include "bench_common.hpp"
 #include "fpna/core/run_context.hpp"
 #include "fpna/dl/linalg.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/bits.hpp"
 #include "fpna/fp/simd.hpp"
 #include "fpna/tensor/workload.hpp"

@@ -40,7 +40,7 @@
 #include "bench_common.hpp"
 #include "fpna/core/eval_context.hpp"
 #include "fpna/core/run_context.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/simd.hpp"
 #include "fpna/reduce/cpu_sum.hpp"
 #include "fpna/util/table.hpp"

@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 #include "fpna/core/metrics.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/util/permutation.hpp"
 #include "fpna/util/table.hpp"
 

@@ -18,7 +18,7 @@
 #include "bench_common.hpp"
 #include "fpna/core/harness.hpp"
 #include "fpna/core/run_context.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/bits.hpp"
 #include "fpna/reduce/cpu_sum.hpp"
 #include "fpna/util/table.hpp"

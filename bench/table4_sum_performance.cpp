@@ -25,7 +25,7 @@
 
 #include "bench_common.hpp"
 #include "fpna/core/harness.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/reduce/gpu_sum.hpp"
 #include "fpna/util/table.hpp"
 #include "fpna/util/timer.hpp"

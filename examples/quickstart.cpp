@@ -13,7 +13,7 @@
 
 #include "fpna/core/harness.hpp"
 #include "fpna/core/metrics.hpp"
-#include "fpna/fp/accumulator.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/bits.hpp"
 #include "fpna/reduce/gpu_sum.hpp"
 #include "fpna/util/permutation.hpp"
