@@ -25,12 +25,12 @@ namespace fpna::reduce {
 /// one accumulator per static chunk, the partial states merged in
 /// chunk-index order (deterministic) or in a completion order drawn
 /// from ctx.run (when ctx.nondeterministic()); the first partial in that
-/// order is the total, so one chunk gives fp::reduce's bits for the spec. With ctx.pool set the
-/// chunks run on real threads; merge order stays chunk-index
-/// (deterministic) unless the context opts into non-determinism - by
-/// carrying a run identity or explicitly setting deterministic_override =
-/// false - in which case the merge happens in genuine OS completion order
-/// under a mutex. For exact-merge algorithms (superaccumulator, binned)
+/// order is the total, so one chunk gives fp::reduce's bits for the spec.
+/// With ctx.pool set the chunks run on real threads; merge order stays
+/// chunk-index (deterministic) unless the context opts into
+/// non-determinism - by carrying a run identity or explicitly setting
+/// deterministic_override = false - in which case the merge happens in
+/// genuine OS completion order under a mutex. For exact-merge algorithms (superaccumulator, binned)
 /// the result is bitwise independent of the chunking and merge order.
 /// `num_threads` always fixes the chunk boundaries (and therefore the
 /// bits for non-exact-merge accumulators), whether or not a pool runs
