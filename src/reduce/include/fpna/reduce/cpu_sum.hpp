@@ -30,11 +30,11 @@ namespace fpna::reduce {
 /// chunk-index (deterministic) unless the context opts into
 /// non-determinism - by carrying a run identity or explicitly setting
 /// deterministic_override = false - in which case the merge happens in
-/// genuine OS completion order under a mutex. For exact-merge algorithms (superaccumulator, binned)
-/// the result is bitwise independent of the chunking and merge order.
-/// `num_threads` always fixes the chunk boundaries (and therefore the
-/// bits for non-exact-merge accumulators), whether or not a pool runs
-/// them.
+/// genuine OS completion order under a mutex. For exact-merge algorithms
+/// (superaccumulator, binned) the result is bitwise independent of the
+/// chunking and merge order. `num_threads` always fixes the chunk
+/// boundaries (and therefore the bits for non-exact-merge accumulators),
+/// whether or not a pool runs them.
 double cpu_sum(std::span<const double> data, const core::EvalContext& ctx,
                std::size_t num_threads = 4);
 

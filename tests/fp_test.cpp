@@ -38,6 +38,17 @@ std::vector<double> random_values(std::size_t n, double lo, double hi,
   return v;
 }
 
+/// n values of random sign with magnitudes spread over 2^-40 .. 2^40.
+std::vector<double> mixed_magnitudes(std::size_t n, util::Xoshiro256pp& rng) {
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    const double mag = std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
+    x = ((rng() & 1) ? mag : -mag) *
+        (1.0 + static_cast<double>(rng() % 1000) * 1e-3);
+  }
+  return v;
+}
+
 // Restores the force-scalar override (and therefore the dispatch tier)
 // however a test exits.
 struct ForceScalarGuard {
@@ -674,39 +685,62 @@ TEST(AlgorithmCatalogue, UnknownNameThrowsWithCatalogue) {
 
 TEST(AlgorithmCatalogue, OneShotMatchesTextbookLoops) {
   // fp::reduce against each algorithm written out as its textbook loop
-  // (or, for the exact ones, the exact state type's own sum).
-  const auto v = random_values(10000, -1e6, 1e6, 77);
-  double serial = 0.0;
-  double kahan = 0.0, kahan_comp = 0.0;
-  double neumaier = 0.0, neumaier_comp = 0.0;
-  double lanes[4] = {};
-  DoubleDouble dd;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const double x = v[i];
-    serial += x;
-    const double y = x - kahan_comp;
-    const double t = kahan + y;
-    kahan_comp = (t - kahan) - y;
-    kahan = t;
-    const double u = neumaier + x;
-    neumaier_comp += std::fabs(neumaier) >= std::fabs(x)
-                         ? (neumaier - u) + x
-                         : (x - u) + neumaier;
-    neumaier = u;
-    lanes[i % 4] += x;
-    dd += x;
+  // (or, for the exact ones, the exact state type's own sum), on uniform
+  // values, mixed magnitudes, and a case only Klein's second level keeps:
+  // 1e-100 survives in ccs while 1 and 1e100 cancel.
+  util::Xoshiro256pp rng(78);
+  const std::vector<std::vector<double>> inputs{
+      random_values(10000, -1e6, 1e6, 77), mixed_magnitudes(4001, rng),
+      {1e100, 1.0, 1e-100, -1e100, -1.0}};
+  for (const auto& v : inputs) {
+    SCOPED_TRACE("n=" + std::to_string(v.size()));
+    double serial = 0.0;
+    double kahan = 0.0, kahan_comp = 0.0;
+    double neumaier = 0.0, neumaier_comp = 0.0;
+    double klein = 0.0, klein_cs = 0.0, klein_ccs = 0.0;
+    double lanes[4] = {};
+    DoubleDouble dd;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const double x = v[i];
+      serial += x;
+      const double y = x - kahan_comp;
+      const double t = kahan + y;
+      kahan_comp = (t - kahan) - y;
+      kahan = t;
+      const double u = neumaier + x;
+      neumaier_comp += std::fabs(neumaier) >= std::fabs(x)
+                           ? (neumaier - u) + x
+                           : (x - u) + neumaier;
+      neumaier = u;
+      const double k = klein + x;
+      const double c = std::fabs(klein) >= std::fabs(x) ? (klein - k) + x
+                                                         : (x - k) + klein;
+      klein = k;
+      const double k2 = klein_cs + c;
+      klein_ccs += std::fabs(klein_cs) >= std::fabs(c)
+                       ? (klein_cs - k2) + c
+                       : (c - k2) + klein_cs;
+      klein_cs = k2;
+      lanes[i % 4] += x;
+      dd += x;
+    }
+    const double vectorized =
+        ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
+    EXPECT_TRUE(bitwise_equal(sum_named("serial", v), serial));
+    EXPECT_TRUE(bitwise_equal(sum_named("pairwise", v), cascade_sum(v)));
+    EXPECT_TRUE(bitwise_equal(sum_named("kahan", v), kahan));
+    EXPECT_TRUE(bitwise_equal(sum_named("neumaier", v),
+                              neumaier + neumaier_comp));
+    EXPECT_TRUE(bitwise_equal(sum_named("klein", v),
+                              (klein + klein_cs) + klein_ccs));
+    EXPECT_TRUE(
+        bitwise_equal(sum_named("double_double", v), dd.to_double()));
+    EXPECT_TRUE(bitwise_equal(sum_named("vectorized", v), vectorized));
+    EXPECT_TRUE(bitwise_equal(sum_named("binned", v), BinnedSum::sum(v)));
+    EXPECT_TRUE(bitwise_equal(sum_named("superaccumulator", v),
+                              Superaccumulator::sum(v)));
   }
-  const double vectorized = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  EXPECT_TRUE(bitwise_equal(sum_named("serial", v), serial));
-  EXPECT_TRUE(bitwise_equal(sum_named("pairwise", v), cascade_sum(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("kahan", v), kahan));
-  EXPECT_TRUE(bitwise_equal(sum_named("neumaier", v),
-                            neumaier + neumaier_comp));
-  EXPECT_TRUE(bitwise_equal(sum_named("double_double", v), dd.to_double()));
-  EXPECT_TRUE(bitwise_equal(sum_named("vectorized", v), vectorized));
-  EXPECT_TRUE(bitwise_equal(sum_named("binned", v), BinnedSum::sum(v)));
-  EXPECT_TRUE(bitwise_equal(sum_named("superaccumulator", v),
-                            Superaccumulator::sum(v)));
+  EXPECT_EQ(sum_named("klein", inputs[2]), 1e-100);
 }
 
 // The property test of the catalogue contract: every algorithm is
@@ -846,12 +880,7 @@ TEST(AlgorithmCatalogue, OneAssociationPerSpecAtEveryEntryPoint) {
   for (std::size_t trial = 0; trial < 12; ++trial) {
     // n mod 4 in {1, 2, 3}: never a whole number of 4-, 8- or 16-lane rows.
     const std::size_t n = 4 * (rng() % 500) + 1 + trial % 3;
-    std::vector<double> v(n);
-    for (auto& x : v) {
-      const double mag = std::ldexp(1.0, static_cast<int>(rng() % 80) - 40);
-      x = ((rng() & 1) ? mag : -mag) *
-          (1.0 + static_cast<double>(rng() % 1000) * 1e-3);
-    }
+    const auto v = mixed_magnitudes(n, rng);
     const std::vector<float> vf(v.begin(), v.end());
     for (const auto& spec : specs) {
       SCOPED_TRACE(to_string(spec) + " n=" + std::to_string(n));
@@ -869,6 +898,32 @@ TEST(AlgorithmCatalogue, OneAssociationPerSpecAtEveryEntryPoint) {
           Fold<float>::of(spec).sum_run(vf.data(), vf.size(), 1),
           streamed32));
     }
+  }
+}
+
+// A span add is the element loop, whatever state it starts from: ragged
+// pieces that open and close mid-block (pairwise's 32-element leaves,
+// vectorized's 4-lane rounds) give the element-at-a-time bits.
+TEST(AlgorithmCatalogue, SpanAddIsTheElementLoopFromAnyState) {
+  util::Xoshiro256pp rng(4409);
+  const auto v = mixed_magnitudes(1001, rng);
+  const std::span<const double> values(v);
+  const std::vector<std::size_t> cuts{1, 3, 6, 37, 70, 101, 167, 503, 998};
+  for (const auto& entry : kAlgorithms) {
+    SCOPED_TRACE(entry.name);
+    visit_algorithm(entry.id, [&](auto tag) {
+      using Acc = typename decltype(tag)::template accumulator_t<double>;
+      Acc elements;
+      for (const double x : v) elements.add(x);
+      Acc pieces;
+      std::size_t begin = 0;
+      for (const std::size_t cut : cuts) {
+        pieces.add(values.subspan(begin, cut - begin));
+        begin = cut;
+      }
+      pieces.add(values.subspan(begin));
+      EXPECT_TRUE(bitwise_equal(pieces.result(), elements.result()));
+    });
   }
 }
 
