@@ -78,7 +78,11 @@ class SerialAccumulator {
   using value_type = T;
   void add(T x) noexcept { sum_ = static_cast<T>(sum_ + x); }
   void add(std::span<const T> values) noexcept {
-    for (const T x : values) add(x);
+    // The element loop with the sum held in a register: `values` may
+    // alias sum_ as far as the compiler knows.
+    T sum = sum_;
+    for (const T x : values) sum = static_cast<T>(sum + x);
+    sum_ = sum;
   }
   void merge(const SerialAccumulator& other) noexcept { add(other.sum_); }
   T result() const noexcept { return sum_; }
@@ -128,7 +132,19 @@ class PairwiseAccumulator {
     }
   }
   void add(std::span<const T> values) {
-    for (const T x : values) add(x);
+    // Up to the next block boundary one element at a time, then whole
+    // blocks from +0.0 (what an empty block holds) with a fixed trip
+    // count, so consecutive blocks run as independent add chains.
+    std::size_t i = 0;
+    for (; i < values.size() && block_count_ != 0; ++i) add(values[i]);
+    for (; values.size() - i >= kBase; i += kBase) {
+      T block{};
+      for (std::size_t j = 0; j < kBase; ++j) {
+        block = static_cast<T>(block + values[i + j]);
+      }
+      push_block(block);
+    }
+    for (; i < values.size(); ++i) add(values[i]);
   }
   /// Folds the other accumulator's rounded result in as one element:
   /// deterministic (and the natural chunked-pairwise association).
@@ -303,7 +319,21 @@ class VectorizedAccumulator {
     next_ = (next_ + 1) % kLanes;
   }
   void add(std::span<const T> values) noexcept {
-    for (const T x : values) add(x);
+    // Up to the next round boundary one element at a time, then whole
+    // rounds with the lanes held in registers: the same round-robin.
+    while (!values.empty() && next_ != 0) {
+      add(values.front());
+      values = values.subspan(1);
+    }
+    const std::size_t whole = values.size() - values.size() % kLanes;
+    std::array<T, kLanes> lanes = lanes_;
+    for (std::size_t i = 0; i < whole; i += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        lanes[l] = static_cast<T>(lanes[l] + values[i + l]);
+      }
+    }
+    lanes_ = lanes;
+    for (const T x : values.subspan(whole)) add(x);
   }
   void merge(const VectorizedAccumulator& other) noexcept {
     for (std::size_t l = 0; l < kLanes; ++l) {
@@ -317,7 +347,7 @@ class VectorizedAccumulator {
   }
 
  private:
-  T lanes_[kLanes] = {};
+  std::array<T, kLanes> lanes_{};
   std::size_t next_ = 0;
 };
 
