@@ -1,20 +1,28 @@
-// Unit and property tests for fpna::collective: simulated MPI-style
-// allreduce variants (the paper's SVI future-work direction) - ring,
-// recursive doubling, arrival-order tree and the reproducible
-// superaccumulator exchange.
+// Unit and property tests of the allreduce algorithms (the paper's SVI
+// future-work direction) - ring, recursive doubling, arrival-order tree
+// and the reproducible superaccumulator exchange - and the distributed
+// sum. The shipped allreduce is comm's process group; every deterministic
+// result is certified against the independent loops of
+// reference_allreduce.hpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "fpna/collective/allreduce.hpp"
+#include "fpna/comm/process_group.hpp"
 #include "fpna/core/chunking.hpp"
 #include "fpna/core/harness.hpp"
 #include "fpna/core/metrics.hpp"
 #include "fpna/fp/bits.hpp"
+#include "fpna/fp/fold.hpp"
 #include "fpna/fp/superaccumulator.hpp"
+#include "fpna/obs/recorder.hpp"
 #include "fpna/util/rng.hpp"
+#include "reference_allreduce.hpp"
 
 namespace fpna::collective {
 namespace {
@@ -31,18 +39,47 @@ RankData random_rank_data(std::size_t ranks, std::size_t n,
   return data;
 }
 
+constexpr comm::WirePath kWires[] = {
+    comm::WirePath::kAllgather, comm::WirePath::kRing,
+    comm::WirePath::kButterfly};
+
+/// The shipped allreduce: a simulated process group on `wire`.
+std::vector<double> shipped(const RankData& data, Algorithm algorithm,
+                            comm::WirePath wire = comm::WirePath::kAllgather) {
+  comm::SimProcessGroup pg(data.size(), wire);
+  return pg.allreduce(data, algorithm, core::EvalContext{});
+}
+
+void expect_bitwise(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(fp::bitwise_equal(got[i], want[i])) << where << " i=" << i;
+  }
+}
+
 TEST(Allreduce, ValidatesShapes) {
   EXPECT_THROW(validate(RankData{}), std::invalid_argument);
   RankData ragged{{1.0, 2.0}, {1.0}};
   EXPECT_THROW(validate(ragged), std::invalid_argument);
-  EXPECT_THROW(allreduce_ring(ragged), std::invalid_argument);
+  EXPECT_THROW(reference::ring(ragged), std::invalid_argument);
+  for (const comm::WirePath wire : kWires) {
+    EXPECT_THROW(shipped(ragged, Algorithm::kRing, wire),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Allreduce, SingleRankIsIdentity) {
   const RankData one{{1.5, -2.5, 3.0}};
-  EXPECT_EQ(allreduce_ring(one), one[0]);
-  EXPECT_EQ(allreduce_recursive_doubling(one), one[0]);
-  EXPECT_EQ(allreduce_reproducible(one), one[0]);
+  for (const comm::WirePath wire : kWires) {
+    for (const auto algorithm :
+         {Algorithm::kRing, Algorithm::kRecursiveDoubling,
+          Algorithm::kReproducible}) {
+      EXPECT_EQ(shipped(one, algorithm, wire), one[0])
+          << comm::to_string(wire) << " " << to_string(algorithm);
+      EXPECT_EQ(reference::allreduce(one, algorithm), one[0]);
+    }
+  }
 }
 
 TEST(Allreduce, AllVariantsAgreeOnExactData) {
@@ -53,9 +90,9 @@ TEST(Allreduce, AllVariantsAgreeOnExactData) {
       data[r][i] = static_cast<double>(r * 16 + i);
     }
   }
-  const auto ring = allreduce_ring(data);
-  const auto rd = allreduce_recursive_doubling(data);
-  const auto repro = allreduce_reproducible(data);
+  const auto ring = shipped(data, Algorithm::kRing);
+  const auto rd = shipped(data, Algorithm::kRecursiveDoubling);
+  const auto repro = shipped(data, Algorithm::kReproducible);
   core::RunContext ctx(1, 0);
   const auto arrival = allreduce_arrival_tree(data, ctx);
   for (std::size_t i = 0; i < 16; ++i) {
@@ -67,10 +104,12 @@ TEST(Allreduce, AllVariantsAgreeOnExactData) {
 
 TEST(Allreduce, AllVariantsCloseToExactOnRandomData) {
   const auto data = random_rank_data(8, 64, 7);
-  const auto repro = allreduce_reproducible(data);
+  const auto repro = shipped(data, Algorithm::kReproducible);
+  expect_bitwise(repro, reference::superaccumulator(data), "reproducible");
   core::RunContext ctx(2, 0);
   for (const auto& result :
-       {allreduce_ring(data), allreduce_recursive_doubling(data),
+       {shipped(data, Algorithm::kRing),
+        shipped(data, Algorithm::kRecursiveDoubling),
         allreduce_arrival_tree(data, ctx)}) {
     for (std::size_t i = 0; i < repro.size(); ++i) {
       EXPECT_NEAR(result[i], repro[i], std::fabs(repro[i]) * 1e-13 + 1e-9);
@@ -80,18 +119,22 @@ TEST(Allreduce, AllVariantsCloseToExactOnRandomData) {
 
 TEST(Allreduce, RingAndButterflyAreDeterministicButDiffer) {
   const auto data = random_rank_data(7, 256, 11);
-  const auto ring_kernel = [&](core::RunContext&) {
-    return allreduce_ring(data);
-  };
-  const auto rd_kernel = [&](core::RunContext&) {
-    return allreduce_recursive_doubling(data);
-  };
-  EXPECT_TRUE(core::certify_deterministic(ring_kernel, 5, 3).deterministic);
-  EXPECT_TRUE(core::certify_deterministic(rd_kernel, 5, 3).deterministic);
+  for (const comm::WirePath wire : kWires) {
+    const auto ring_kernel = [&](core::RunContext&) {
+      return shipped(data, Algorithm::kRing, wire);
+    };
+    const auto rd_kernel = [&](core::RunContext&) {
+      return shipped(data, Algorithm::kRecursiveDoubling, wire);
+    };
+    EXPECT_TRUE(core::certify_deterministic(ring_kernel, 5, 3).deterministic);
+    EXPECT_TRUE(core::certify_deterministic(rd_kernel, 5, 3).deterministic);
+  }
   // Different association => generally different bits somewhere (the MPI
   // algorithm-selection hazard).
-  const auto ring = allreduce_ring(data);
-  const auto rd = allreduce_recursive_doubling(data);
+  const auto ring = shipped(data, Algorithm::kRing);
+  const auto rd = shipped(data, Algorithm::kRecursiveDoubling);
+  expect_bitwise(ring, reference::ring(data), "ring");
+  expect_bitwise(rd, reference::recursive_doubling(data), "rd");
   EXPECT_GT(core::vc(ring, rd), 0.0);
 }
 
@@ -106,27 +149,49 @@ TEST(Allreduce, ArrivalTreeIsNonDeterministic) {
 
 TEST(Allreduce, ReproducibleInvariantToArrivalAndPermutation) {
   auto data = random_rank_data(9, 128, 17);
-  const auto reference = allreduce_reproducible(data);
-  // Permuting the ranks must not change a single bit.
-  std::rotate(data.begin(), data.begin() + 4, data.end());
-  const auto rotated = allreduce_reproducible(data);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_TRUE(fp::bitwise_equal(reference[i], rotated[i]));
+  for (const comm::WirePath wire : kWires) {
+    auto permuted = data;
+    const auto reference = shipped(permuted, Algorithm::kReproducible, wire);
+    // Permuting the ranks must not change a single bit.
+    std::rotate(permuted.begin(), permuted.begin() + 4, permuted.end());
+    const auto rotated = shipped(permuted, Algorithm::kReproducible, wire);
+    expect_bitwise(rotated, reference, comm::to_string(wire));
   }
 }
 
 TEST(Allreduce, RecursiveDoublingHandlesNonPowerOfTwo) {
   for (const std::size_t ranks : {3u, 5u, 6u, 7u, 12u}) {
     const auto data = random_rank_data(ranks, 32, 19 + ranks);
-    const auto result = allreduce_recursive_doubling(data);
-    const auto exact = allreduce_reproducible(data);
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(result[i], exact[i], std::fabs(exact[i]) * 1e-13 + 1e-9);
+    const auto exact = shipped(data, Algorithm::kReproducible);
+    for (const comm::WirePath wire : kWires) {
+      const auto result = shipped(data, Algorithm::kRecursiveDoubling, wire);
+      expect_bitwise(result, reference::recursive_doubling(data),
+                     comm::to_string(wire));
+      for (std::size_t i = 0; i < exact.size(); ++i) {
+        EXPECT_NEAR(result[i], exact[i], std::fabs(exact[i]) * 1e-13 + 1e-9);
+      }
     }
   }
 }
 
 // ------------------------------------------------------ distributed sum --
+
+/// The distributed sum under test, with `run` as its only context field.
+double dsum(std::span<const double> data, std::size_t ranks,
+            Algorithm algorithm, core::RunContext* run = nullptr) {
+  core::EvalContext ctx;
+  ctx.run = run;
+  return distributed_sum(data, ranks, algorithm, ctx);
+}
+
+std::vector<double> mixed_magnitude(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256pp rng(seed);
+  const util::UniformReal mantissa(-1.0, 1.0);
+  const util::UniformReal exponent(-12.0, 12.0);
+  std::vector<double> data(n);
+  for (auto& x : data) x = mantissa(rng) * std::pow(10.0, exponent(rng));
+  return data;
+}
 
 TEST(DistributedSum, ShardPartitionsEverything) {
   std::vector<double> data(103);
@@ -149,15 +214,35 @@ TEST(DistributedSum, MatchesAlgorithms) {
   for (auto& x : data) x = dist(rng);
 
   const double exact = fp::Superaccumulator::sum(data);
-  EXPECT_EQ(distributed_sum(data, 8, Algorithm::kReproducible), exact);
+  EXPECT_EQ(dsum(data, 8, Algorithm::kReproducible), exact);
 
   core::RunContext ctx(3, 0);
   for (const auto algorithm :
        {Algorithm::kRing, Algorithm::kRecursiveDoubling,
         Algorithm::kArrivalTree}) {
-    const double value = distributed_sum(data, 8, algorithm, &ctx);
+    const double value = dsum(data, 8, algorithm, &ctx);
     EXPECT_NEAR(value, exact, std::fabs(exact) * 1e-12 + 1e-9)
         << to_string(algorithm);
+  }
+}
+
+TEST(DistributedSum, RoundedAlgorithmsCombineSerialPartialsInTheirOrder) {
+  // Each rank folds its shard serially; the P partials then meet in the
+  // reference association of the algorithm.
+  const auto data = mixed_magnitude(999, 37);
+  for (const std::size_t ranks : {1u, 2u, 3u, 5u, 8u, 64u}) {
+    RankData partials;
+    for (const auto& s : shard(data, ranks)) {
+      partials.push_back(
+          {fp::reduce<double>(fp::AlgorithmId::kSerial, std::span(s))});
+    }
+    for (const auto algorithm :
+         {Algorithm::kRing, Algorithm::kRecursiveDoubling}) {
+      EXPECT_TRUE(fp::bitwise_equal(
+          dsum(data, ranks, algorithm),
+          reference::allreduce(partials, algorithm)[0]))
+          << to_string(algorithm) << " P=" << ranks;
+    }
   }
 }
 
@@ -167,15 +252,15 @@ TEST(DistributedSum, ReproducibleInvariantToRankCount) {
   std::vector<double> data(4321);
   for (auto& x : data) x = dist(rng);
 
-  const double reference = distributed_sum(data, 1, Algorithm::kReproducible);
+  const double reference = dsum(data, 1, Algorithm::kReproducible);
   for (const std::size_t ranks : {2u, 3u, 8u, 16u, 64u}) {
     EXPECT_TRUE(fp::bitwise_equal(
-        distributed_sum(data, ranks, Algorithm::kReproducible), reference));
+        dsum(data, ranks, Algorithm::kReproducible), reference));
   }
   // The ring sum, by contrast, depends on the rank count (different
   // association).
-  const double ring1 = distributed_sum(data, 2, Algorithm::kRing);
-  const double ring2 = distributed_sum(data, 64, Algorithm::kRing);
+  const double ring1 = dsum(data, 2, Algorithm::kRing);
+  const double ring2 = dsum(data, 64, Algorithm::kRing);
   EXPECT_FALSE(fp::bitwise_equal(ring1, ring2));
 }
 
@@ -186,17 +271,40 @@ TEST(DistributedSum, ArrivalTreeVariesAcrossRuns) {
   for (auto& x : data) x = dist(rng);
 
   const auto kernel = [&](core::RunContext& ctx) {
-    return distributed_sum(data, 16, Algorithm::kArrivalTree, &ctx);
+    return dsum(data, 16, Algorithm::kArrivalTree, &ctx);
   };
   EXPECT_FALSE(core::certify_deterministic_scalar(kernel, 20, 7).deterministic);
 }
 
 TEST(DistributedSum, Validation) {
   const std::vector<double> data{1.0};
-  EXPECT_THROW(distributed_sum(data, 0, Algorithm::kRing),
+  EXPECT_THROW(dsum(data, 0, Algorithm::kRing), std::invalid_argument);
+  EXPECT_THROW(dsum(data, 2, Algorithm::kArrivalTree, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(distributed_sum(data, 2, Algorithm::kArrivalTree, nullptr),
-               std::invalid_argument);
+}
+
+TEST(DistributedSum, GoldenBits) {
+  // Pins every algorithm's distributed sum over rank counts that cover
+  // one rank, the butterfly pre-fold and more ranks than a power of two.
+  const auto data = random_rank_data(1, 4321, 41).front();
+  struct Case {
+    Algorithm algorithm;
+    const char* golden;
+  };
+  const Case cases[] = {
+      {Algorithm::kRing, "d6a529159af73c2e"},
+      {Algorithm::kRecursiveDoubling, "d6d584fd21b7158a"},
+      {Algorithm::kReproducible, "6b2b5cb731229153"},
+      {Algorithm::kArrivalTree, "8e27b7e6ccd0bcd1"},
+  };
+  for (const Case& c : cases) {
+    obs::Fingerprint print;
+    for (const std::size_t ranks : {1u, 2u, 3u, 5u, 8u, 64u}) {
+      core::RunContext run(43, 0);
+      print.feed(dsum(data, ranks, c.algorithm, &run));
+    }
+    EXPECT_EQ(obs::hex64(print.value()), c.golden) << to_string(c.algorithm);
+  }
 }
 
 TEST(DistributedSum, MetadataHelpers) {

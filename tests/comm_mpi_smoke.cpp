@@ -28,6 +28,7 @@
 #include "fpna/comm/schedule.hpp"
 #include "fpna/fp/accumulator.hpp"
 #include "fpna/fp/bits.hpp"
+#include "reference_allreduce.hpp"
 
 #include <mpi.h>
 
@@ -76,8 +77,7 @@ int main(int argc, char** argv) {
                                  collective::Algorithm::kRecursiveDoubling,
                                  collective::Algorithm::kReproducible}) {
       const auto over_wire = pg.allreduce(local, algorithm, ctx);
-      const auto expected =
-          collective::allreduce(everyone, algorithm, ctx);
+      const auto expected = reference::allreduce(everyone, algorithm);
       for (std::size_t i = 0; i < n; ++i) {
         if (!fp::bitwise_equal(over_wire[i], expected[i])) {
           ++failures;

@@ -36,6 +36,7 @@
 #include "fpna/obs/recorder.hpp"
 #include "fpna/util/rng.hpp"
 #include "fpna/util/thread_pool.hpp"
+#include "reference_allreduce.hpp"
 
 namespace fpna::comm {
 namespace {
@@ -129,7 +130,7 @@ TEST(ProcessGroup, SimDelegatesToCollectiveBitwise) {
   const auto data = random_rank_data(5, 64, 3);
   const core::EvalContext ctx;
   const auto ring = pg.allreduce(data, collective::Algorithm::kRing, ctx);
-  const auto expect = collective::allreduce_ring(data);
+  const auto expect = reference::ring(data);
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_TRUE(fp::bitwise_equal(ring[i], expect[i]));
   }
@@ -139,9 +140,19 @@ TEST(ProcessGroup, ExactElementwiseMatchesReproducibleCollective) {
   const auto data = random_rank_data(7, 96, 5);
   const auto via_registry = exact_elementwise_allreduce(
       data, fp::AlgorithmId::kSuperaccumulator);
-  const auto historic = collective::allreduce_reproducible(data);
+  const auto historic = reference::superaccumulator(data);
   for (std::size_t i = 0; i < historic.size(); ++i) {
     EXPECT_TRUE(fp::bitwise_equal(via_registry[i], historic[i]));
+  }
+  collective::RankDataF narrow(data.size());
+  for (std::size_t r = 0; r < data.size(); ++r) {
+    narrow[r].assign(data[r].begin(), data[r].end());
+  }
+  const auto via_registry_f = exact_elementwise_allreduce(
+      narrow, fp::AlgorithmId::kSuperaccumulator);
+  const auto historic_f = reference::superaccumulator(narrow);
+  for (std::size_t i = 0; i < historic_f.size(); ++i) {
+    EXPECT_TRUE(fp::bitwise_equal32(via_registry_f[i], historic_f[i]));
   }
 }
 
@@ -247,32 +258,36 @@ collective::RankDataT<T> mixed_magnitude_rank_data(std::size_t ranks,
 }
 
 TEST(WireSchedules, BitwiseEqualToAllgatherBackendForEveryAlgorithm) {
-  // The tentpole certification: the ring and butterfly message schedules
-  // reproduce the allgather backend's bits exactly - for the rounded
-  // deterministic algorithms (whose association the schedule pins per
-  // message) and the exact reproducible exchange (whose serialized
-  // superaccumulator states make any schedule a no-op for the bits).
+  // The tentpole certification: every wire - the allgather backend and
+  // the ring and butterfly message schedules - reproduces the reference
+  // loops' bits exactly, for the rounded deterministic algorithms (whose
+  // association the schedule pins per message) and the exact
+  // reproducible exchange (whose serialized superaccumulator states make
+  // any schedule a no-op for the bits). Comparing the wires only with
+  // each other would pass if they shared a wrong order.
   const core::EvalContext ctx;
-  for (const std::size_t ranks : {1u, 2u, 3u, 4u, 7u, 8u, 16u}) {
-    SimProcessGroup baseline(ranks, WirePath::kAllgather);
-    for (const WirePath wire : {WirePath::kRing, WirePath::kButterfly}) {
+  for (const std::size_t ranks : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 16u}) {
+    for (const WirePath wire :
+         {WirePath::kAllgather, WirePath::kRing, WirePath::kButterfly}) {
       SimProcessGroup wired(ranks, wire);
-      for (const std::size_t n : {1u, 5u, 63u, 257u}) {
+      for (const std::size_t n : {0u, 1u, 5u, 63u, 257u}) {
         const auto data = mixed_magnitude_rank_data<double>(ranks, n, 7 * n);
         const auto dataf = mixed_magnitude_rank_data<float>(ranks, n, 7 * n);
         for (const auto algorithm :
              {collective::Algorithm::kRing,
               collective::Algorithm::kRecursiveDoubling,
               collective::Algorithm::kReproducible}) {
-          const auto expect = baseline.allreduce(data, algorithm, ctx);
+          const auto expect = reference::allreduce(data, algorithm);
           const auto wired_bits = wired.allreduce(data, algorithm, ctx);
+          ASSERT_EQ(wired_bits.size(), n);
           for (std::size_t i = 0; i < n; ++i) {
             ASSERT_TRUE(fp::bitwise_equal(wired_bits[i], expect[i]))
                 << to_string(wire) << " " << collective::to_string(algorithm)
                 << " P=" << ranks << " n=" << n << " i=" << i;
           }
-          const auto expect_f = baseline.allreduce(dataf, algorithm, ctx);
+          const auto expect_f = reference::allreduce(dataf, algorithm);
           const auto wired_f = wired.allreduce(dataf, algorithm, ctx);
+          ASSERT_EQ(wired_f.size(), n);
           for (std::size_t i = 0; i < n; ++i) {
             ASSERT_TRUE(fp::bitwise_equal32(wired_f[i], expect_f[i]))
                 << to_string(wire) << " " << collective::to_string(algorithm)
@@ -556,8 +571,7 @@ std::vector<std::uint64_t> reference_bits(const collective::RankDataT<T>& data,
     return bit_patterns(exact_elementwise_allreduce(
         data, fp::parse_reduction_spec(c.spec)));
   }
-  return bit_patterns(
-      collective::allreduce(data, c.algorithm, core::EvalContext{}));
+  return bit_patterns(reference::allreduce(data, c.algorithm));
 }
 
 TEST(WireSchedules, OneRankPerParticipantMatchesSim) {
@@ -565,7 +579,7 @@ TEST(WireSchedules, OneRankPerParticipantMatchesSim) {
   // playing one rank through a loopback transport, must observe exactly
   // what the in-process simulation computes for that rank - result bits,
   // traffic row and comm.wire provenance - and the bits must equal the
-  // collective reference. P = 3 and 5 cover the butterfly pre-fold.
+  // reference loops. P = 3 and 5 cover the butterfly pre-fold.
   const std::vector<LoopbackCase> cases{
       {collective::Algorithm::kRing, nullptr},
       {collective::Algorithm::kRecursiveDoubling, nullptr},
