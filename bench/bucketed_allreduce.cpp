@@ -3,7 +3,7 @@
 // cap x rank count x collective algorithm, with overlap off and on, over a
 // fixed global set of per-sample gradient contributions sharded across the
 // ranks (comm::sharded_bucketed_allreduce - the multi-tensor
-// generalisation of collective::distributed_sum).
+// generalisation of comm::distributed_sum).
 //
 // Measured per combination:
 //   * wall-clock per reduction and throughput (Melem/s) - the bucketing /

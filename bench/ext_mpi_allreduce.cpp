@@ -24,7 +24,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "fpna/collective/allreduce.hpp"
 #include "fpna/comm/process_group.hpp"
 #include "fpna/comm/schedule.hpp"
 #include "fpna/core/harness.hpp"
@@ -57,8 +56,9 @@ void distributed_sum_variability(std::size_t size, std::size_t runs,
           collective::Algorithm::kRecursiveDoubling,
           collective::Algorithm::kArrivalTree,
           collective::Algorithm::kReproducible}) {
-      const auto kernel = [&](core::RunContext& ctx) {
-        return collective::distributed_sum(data, ranks, algorithm, &ctx);
+      const auto kernel = [&](core::RunContext& run) {
+        return comm::distributed_sum(
+            data, ranks, algorithm, core::EvalContext::nondeterministic_on(run));
       };
       const auto cert =
           core::certify_deterministic_scalar(kernel, 10, seed + 1);

@@ -25,7 +25,7 @@
 // wall-clock, never bits (certified in comm_test).
 //
 // sharded_bucketed_allreduce is the multi-tensor generalisation of
-// collective::distributed_sum: the reduction's *samples* (micro-batch
+// comm::distributed_sum: the reduction's *samples* (micro-batch
 // gradient contributions) are assigned to ranks by an owner map, each rank
 // folds its samples locally, and the partials meet in the collective. With
 // kReproducible the local fold keeps exact per-element state, so the

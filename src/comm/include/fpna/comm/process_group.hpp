@@ -16,16 +16,22 @@
 //
 // Each group is constructed on a WirePath (see schedule.hpp):
 //
-//   * kAllgather gathers the rank buffers (ordered by rank id) and runs
-//     one shared local combine, so every rank observes bitwise-identical
-//     results - semantics certified at O(n*P) traffic per rank;
+//   * kAllgather gathers the rank buffers (ordered by rank id) and every
+//     participant combines them locally - semantics certified at O(n*P)
+//     traffic per rank;
 //   * kRing / kButterfly interpret an explicit CollectiveSchedule step by
-//     step: point-to-point messages, O(n) traffic per rank, and per-step
-//     combine orders drawn from the schedule, so the bits are *identical
-//     to the allgather wire* for every algorithm and ReductionSpec
-//     (certified in comm_test, over a threaded one-rank-per-participant
-//     transport there, and under mpirun in CI). The non-schedulable
-//     arrival-tree algorithm always falls back to the allgather combine.
+//     step: point-to-point messages, O(n) traffic per rank.
+//
+// The ring and butterfly associations exist once, as the schedule's
+// per-message combine orders. The allgather wire's local combine replays
+// the same schedule's reduce phase on an in-process transport (booking no
+// traffic and emitting no provenance of its own), so every wire yields
+// the same bits for every algorithm and ReductionSpec by construction
+// (certified against independent reference loops in comm_test, over a
+// threaded one-rank-per-participant transport there, and under mpirun in
+// CI). The exact combine is exact_elementwise_allreduce. The
+// non-schedulable arrival-tree algorithm always runs on the allgather
+// wire.
 //
 // The reproducible algorithm honours the EvalContext's registry-selected
 // accumulator. On the allgather wire any *exact-merge* algorithm
@@ -67,6 +73,18 @@ template <typename T>
 std::vector<T> exact_elementwise_allreduce(
     const collective::RankDataT<T>& contributions,
     const fp::ReductionSpec& spec);
+
+/// Distributed sum of one logical data set: shard it across `ranks`
+/// (collective::shard_sizes), fold each shard locally through
+/// ctx.reduction_in_effect(), then combine the P rounded partials as the
+/// allgather wire combines them. kReproducible instead sums the whole data
+/// set exactly (exact local states merged exactly are one exact sum), so
+/// its bits are the same for every rank count and arrival order - the
+/// "MPI-safe" reduction. ctx.run is required for (and only consumed by)
+/// kArrivalTree. Throws std::invalid_argument on zero ranks.
+double distributed_sum(std::span<const double> data, std::size_t ranks,
+                       collective::Algorithm algorithm,
+                       const core::EvalContext& ctx);
 
 /// Moves bytes between ranks for the schedule interpreter. A transport
 /// plays the ranks [first_rank(), first_rank() + ranks_played()) of a
@@ -157,30 +175,6 @@ class ProcessGroup {
                                collective::Algorithm algorithm,
                                const core::EvalContext& ctx,
                                std::size_t block_elements = 1024);
-
-  /// Schedule primitive: runs `schedule`'s reduce-scatter phase. Returns
-  /// a full-length buffer holding the final values of the shards this
-  /// participant owns (all of them for the sim backend) and zeros
-  /// elsewhere until allgather(). `algorithm` selects the codec:
-  /// kRing / kRecursiveDoubling add rounded values in the schedule's
-  /// operand order (and must ride the schedule whose association they
-  /// reproduce); kReproducible carries serialized superaccumulator states
-  /// over either schedule, quantizing through ctx's ReductionSpec.
-  std::vector<double> reduce_scatter(const collective::RankData& contributions,
-                                     const CollectiveSchedule& schedule,
-                                     collective::Algorithm algorithm,
-                                     const core::EvalContext& ctx);
-  std::vector<float> reduce_scatter(const collective::RankDataF& contributions,
-                                    const CollectiveSchedule& schedule,
-                                    collective::Algorithm algorithm,
-                                    const core::EvalContext& ctx);
-
-  /// Schedule primitive: runs `schedule`'s allgather (copy) phase on a
-  /// reduce_scatter result, completing the allreduce in `buffer`.
-  void allgather(std::vector<double>& buffer,
-                 const CollectiveSchedule& schedule);
-  void allgather(std::vector<float>& buffer,
-                 const CollectiveSchedule& schedule);
 
   /// Accumulated wire traffic of rank `r` since construction (or the last
   /// reset). Only the rows of the ranks this process plays fill.

@@ -11,25 +11,31 @@
 // (MpiProcessGroup) sends it with MPI_Isend/MPI_Recv - O(n) traffic per
 // rank either way, against the allgather wire's O(n*P).
 //
-// Two schedules are provided:
+// Two schedules are provided, both the MPICH orders of Thakur, Rabenseifner
+// & Gropp ("Optimization of collective communication operations in
+// MPICH", IJHPCA 2005):
 //
 //   * ring       - chunk c of the buffer (collective::ring_chunk
 //                  boundaries) accumulates along the ring starting at rank
-//                  (c+1) % P; per-element association identical to
-//                  collective::allreduce_ring, so the wire path reproduces
-//                  the allgather wire's kRing bits exactly;
-//   * butterfly  - recursive-halving reduce-scatter whose stage order
-//                  (distance 1, 2, 4, ...) and lower-rank-first combine
-//                  operands reproduce collective::allreduce_recursive_
-//                  doubling's association per element, with the usual
-//                  MPICH pre-fold for non-power-of-two rank counts.
+//                  (c+1) % P, each hop adding its own value on the right;
+//   * butterfly  - recursive-halving reduce-scatter in doubling stage
+//                  order (distance 1, 2, 4, ...) with the lower rank's
+//                  partial on the left of every combine, after the usual
+//                  MPICH pre-fold for non-power-of-two rank counts - per
+//                  element, the recursive-doubling association.
+//
+// These message lists are the only implementation of the ring and
+// recursive-doubling associations: the allgather wire replays the same
+// schedule's reduce phase locally on the gathered buffers, so every wire
+// yields the same bits. tests/reference_allreduce.hpp keeps textbook loops
+// of both orders that the tests certify every wire against.
 //
 // The reproducible (superaccumulator) exchange runs over either schedule:
 // messages then carry fp::Superaccumulator wire words instead of rounded
 // values, merges are exact, and the single final rounding at the shard
 // owner makes the result bitwise identical to the allgather wire's exact
-// path for every ReductionSpec - the schedule choice moves traffic, never
-// bits.
+// combine for every ReductionSpec - the schedule choice moves traffic,
+// never bits.
 
 #include <cstddef>
 #include <cstdint>
@@ -91,21 +97,20 @@ class CollectiveSchedule {
   static CollectiveSchedule ring(std::size_t ranks, std::size_t elements);
 
   /// Recursive-halving reduce-scatter + recursive-doubling allgather.
-  /// Stage order and combine operands reproduce
-  /// collective::allreduce_recursive_doubling bit for bit; shard
-  /// ownership follows the nested halving (rank bits, LSB first, select
-  /// halves), with ranks beyond the largest power of two pre-folding into
-  /// their partner and owning empty shards.
+  /// Stage order and combine operands give every element the
+  /// recursive-doubling association; shard ownership follows the nested
+  /// halving (rank bits, LSB first, select halves), with ranks beyond the
+  /// largest power of two pre-folding into their partner and owning empty
+  /// shards.
   static CollectiveSchedule butterfly(std::size_t ranks,
                                       std::size_t elements);
 
-  /// The schedule carrying `algorithm` over `wire`: kRing must travel the
-  /// ring schedule and kRecursiveDoubling the butterfly (each is the only
-  /// O(n) message pattern that reproduces its association), while the
-  /// order-invariant kReproducible rides whichever `wire` names. Throws
-  /// std::invalid_argument for kArrivalTree / kAllgather (no schedule:
-  /// arrival-order combining has no fixed plan, and the allgather wire
-  /// is the non-scheduled path).
+  /// The schedule carrying `algorithm` over `wire`: kRing always travels
+  /// the ring schedule and kRecursiveDoubling the butterfly (each schedule
+  /// is its association), while the order-invariant kReproducible rides
+  /// the butterfly for kButterfly and the ring otherwise. Throws
+  /// std::invalid_argument for kArrivalTree (arrival-order combining has
+  /// no fixed plan).
   static CollectiveSchedule for_algorithm(collective::Algorithm algorithm,
                                           WirePath wire, std::size_t ranks,
                                           std::size_t elements);

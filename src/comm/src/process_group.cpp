@@ -42,42 +42,6 @@ template std::vector<float> exact_elementwise_allreduce<float>(
 
 namespace {
 
-/// The allgather wire's combine, run on the gathered rank buffers by
-/// every participant, so all compute identical bits from identical inputs.
-template <typename T>
-std::vector<T> combine(const collective::RankDataT<T>& contributions,
-                       collective::Algorithm algorithm,
-                       const core::EvalContext& ctx,
-                       std::size_t block_elements) {
-  if (algorithm == collective::Algorithm::kReproducible &&
-      ctx.accumulator.has_value()) {
-    return exact_elementwise_allreduce(contributions, *ctx.accumulator);
-  }
-  return collective::allreduce(contributions, algorithm, ctx, block_elements);
-}
-
-void check_schedule(const CollectiveSchedule& schedule, std::size_t ranks,
-                    std::size_t elements, collective::Algorithm algorithm) {
-  if (schedule.ranks() != ranks || schedule.elements() != elements) {
-    throw std::invalid_argument(
-        "reduce_scatter: schedule shape mismatch (schedule is " +
-        std::to_string(schedule.ranks()) + " ranks x " +
-        std::to_string(schedule.elements()) + " elements)");
-  }
-  // kRing and kRecursiveDoubling must ride the schedule whose association
-  // they reproduce, the order-invariant kReproducible rides any, and
-  // arrival-tree has none (for_algorithm throws).
-  const WirePath own =
-      CollectiveSchedule::for_algorithm(algorithm, schedule.path(), 1, 0)
-          .path();
-  if (schedule.path() != own) {
-    throw std::invalid_argument(
-        std::string("reduce_scatter: ") + collective::to_string(algorithm) +
-        "'s association is only reproduced by the " + to_string(own) +
-        " schedule");
-  }
-}
-
 /// Resolves the reproducible wire spec: only the superaccumulator's exact
 /// state has a bounded serialized form, so only it may carry a
 /// schedule-based exchange (binned's exact state is its whole input
@@ -164,8 +128,8 @@ void check_contributions(const Transport& transport,
 
 /// The step interpreter: walks messages [begin, end) of `schedule` one
 /// step at a time through the transport and books each message's traffic
-/// on the ranks this process plays.
-void run_messages(Transport& transport, TrafficLedger& ledger,
+/// on the ranks this process plays (nothing when `ledger` is null).
+void run_messages(Transport& transport, TrafficLedger* ledger,
                   const CollectiveSchedule& schedule, std::size_t begin,
                   std::size_t end, std::size_t element_bytes,
                   const Transport::Pack& pack,
@@ -179,16 +143,17 @@ void run_messages(Transport& transport, TrafficLedger& ledger,
     }
     const auto step = messages.subspan(begin, step_end - begin);
     transport.step(step, element_bytes, pack, deliver);
+    begin = step_end;
+    if (ledger == nullptr) continue;
     for (const Message& msg : step) {
       const std::uint64_t bytes = msg.range.size() * element_bytes;
       if (plays(transport, msg.sender)) {
-        ledger.record_exchange(msg.sender, bytes, 0, 1);
+        ledger->record_exchange(msg.sender, bytes, 0, 1);
       }
       if (plays(transport, msg.receiver)) {
-        ledger.record_exchange(msg.receiver, 0, bytes, 0);
+        ledger->record_exchange(msg.receiver, 0, bytes, 0);
       }
     }
-    begin = step_end;
   }
 }
 
@@ -224,17 +189,17 @@ void record_wire_step(obs::Recorder* recorder, const Message& msg,
                         print.value(), msg.range.size()});
 }
 
-/// The value codec: rounded adds in each message's operand order.
-/// Provenance fingerprints the receiver's freshly combined range.
+/// The value codec: rounded adds in each message's operand order, on
+/// the played ranks' `buffers`. Provenance fingerprints the receiver's
+/// freshly combined range.
 template <typename T>
 std::vector<T> value_reduce_scatter(Transport& transport,
-                                    TrafficLedger& ledger,
+                                    TrafficLedger* ledger,
                                     const CollectiveSchedule& schedule,
-                                    const collective::RankDataT<T>& data,
+                                    collective::RankDataT<T> buffers,
                                     obs::Recorder* recorder) {
   const std::string label = to_string(schedule.path());
   const std::size_t first = transport.first_rank();
-  collective::RankDataT<T> buffers = data;
   run_messages(
       transport, ledger, schedule, 0, schedule.reduce_message_count(),
       sizeof(T),
@@ -281,7 +246,7 @@ auto as_words(std::span<Byte> payload) {
 /// axes apply. Provenance fingerprints each message's words.
 template <typename T>
 std::vector<T> state_reduce_scatter(Transport& transport,
-                                    TrafficLedger& ledger,
+                                    TrafficLedger* ledger,
                                     const CollectiveSchedule& schedule,
                                     const collective::RankDataT<T>& data,
                                     const fp::ReductionSpec& spec,
@@ -329,40 +294,33 @@ std::vector<T> state_reduce_scatter(Transport& transport,
   return result;
 }
 
+/// A schedule wire's allreduce: the reduce phase through the codec
+/// `algorithm` selects, then the copy phase. On the in-process transport
+/// every shard is already in place after the reduce phase, so each copy
+/// lands on itself.
 template <typename T>
-std::vector<T> reduce_scatter_impl(Transport& transport,
-                                   TrafficLedger& ledger,
-                                   const collective::RankDataT<T>& data,
-                                   const CollectiveSchedule& schedule,
-                                   collective::Algorithm algorithm,
-                                   const core::EvalContext& ctx) {
-  check_contributions(transport, data, "reduce_scatter");
-  check_schedule(schedule, transport.size(), data.front().size(), algorithm);
+std::vector<T> schedule_allreduce(Transport& transport, TrafficLedger& ledger,
+                                  const collective::RankDataT<T>& data,
+                                  collective::Algorithm algorithm,
+                                  WirePath wire,
+                                  const core::EvalContext& ctx) {
+  const auto schedule = CollectiveSchedule::for_algorithm(
+      algorithm, wire, transport.size(), data.front().size());
   const bool exact = algorithm == collective::Algorithm::kReproducible;
-  obs::Span span(ctx.recorder, exact ? "comm.reduce_scatter.state"
-                                     : "comm.reduce_scatter.value");
-  span.arg("wire", to_string(schedule.path()));
-  span.arg("elements", static_cast<std::uint64_t>(schedule.elements()));
-  if (exact) {
-    return state_reduce_scatter(transport, ledger, schedule, data,
-                                wire_reproducible_spec(ctx), ctx.recorder);
-  }
-  return value_reduce_scatter(transport, ledger, schedule, data,
-                              ctx.recorder);
-}
-
-/// The schedule's copy phase. On the in-process transport every shard is
-/// already in `buffer`, so each copy lands on itself.
-template <typename T>
-void allgather_impl(Transport& transport, TrafficLedger& ledger,
-                    std::vector<T>& buffer,
-                    const CollectiveSchedule& schedule) {
-  if (buffer.size() != schedule.elements()) {
-    throw std::invalid_argument(
-        "ProcessGroup::allgather: buffer/schedule size mismatch");
+  std::vector<T> buffer;
+  {
+    obs::Span span(ctx.recorder, exact ? "comm.reduce_scatter.state"
+                                       : "comm.reduce_scatter.value");
+    span.arg("wire", to_string(schedule.path()));
+    span.arg("elements", static_cast<std::uint64_t>(schedule.elements()));
+    buffer = exact ? state_reduce_scatter(transport, &ledger, schedule, data,
+                                          wire_reproducible_spec(ctx),
+                                          ctx.recorder)
+                   : value_reduce_scatter(transport, &ledger, schedule, data,
+                                          ctx.recorder);
   }
   run_messages(
-      transport, ledger, schedule, schedule.reduce_message_count(),
+      transport, &ledger, schedule, schedule.reduce_message_count(),
       schedule.messages().size(), sizeof(T),
       [&](const Message& msg, std::span<std::byte> out) {
         std::memcpy(out.data(), buffer.data() + msg.range.begin, out.size());
@@ -370,6 +328,40 @@ void allgather_impl(Transport& transport, TrafficLedger& ledger,
       [&](const Message& msg, std::span<const std::byte> in) {
         std::memcpy(buffer.data() + msg.range.begin, in.data(), in.size());
       });
+  return buffer;
+}
+
+/// The allgather wire's combine, run on all P rank buffers by every
+/// participant, so all compute identical bits from identical inputs. The
+/// rounded algorithms replay their schedule's reduce phase on an
+/// in-process transport: one implementation of each association, and no
+/// traffic, span or comm.wire record beyond the wire's own.
+template <typename T>
+std::vector<T> combine(const collective::RankDataT<T>& ranks,
+                       collective::Algorithm algorithm,
+                       const core::EvalContext& ctx,
+                       std::size_t block_elements) {
+  switch (algorithm) {
+    case collective::Algorithm::kRing:
+    case collective::Algorithm::kRecursiveDoubling: {
+      InProcessTransport local(ranks.size());
+      const auto schedule = CollectiveSchedule::for_algorithm(
+          algorithm, WirePath::kAllgather, ranks.size(),
+          ranks.front().size());
+      return value_reduce_scatter(local, nullptr, schedule, ranks, nullptr);
+    }
+    case collective::Algorithm::kReproducible:
+      return exact_elementwise_allreduce(
+          ranks, ctx.accumulator.value_or(fp::AlgorithmId::kSuperaccumulator));
+    case collective::Algorithm::kArrivalTree:
+      if (ctx.run == nullptr) {
+        throw std::invalid_argument(
+            "allreduce: arrival-tree needs EvalContext.run");
+      }
+      return collective::allreduce_arrival_tree(ranks, *ctx.run,
+                                                block_elements);
+  }
+  throw std::invalid_argument("allreduce: unknown algorithm");
 }
 
 /// Every rank's buffer for the allgather wire, through the transport.
@@ -392,8 +384,8 @@ collective::RankDataT<T> gather_ranks(
 }
 
 template <typename T>
-std::vector<T> allreduce_impl(ProcessGroup& pg, Transport& transport,
-                              TrafficLedger& ledger,
+std::vector<T> allreduce_impl(Transport& transport, TrafficLedger& ledger,
+                              WirePath wire,
                               const collective::RankDataT<T>& contributions,
                               collective::Algorithm algorithm,
                               const core::EvalContext& ctx,
@@ -403,13 +395,10 @@ std::vector<T> allreduce_impl(ProcessGroup& pg, Transport& transport,
   const std::size_t n = contributions.front().size();
   // Deterministic algorithms travel a schedule wire; arrival-tree always
   // combines on the allgather wire (its arrival-order draw has no plan).
-  if (pg.wire() != WirePath::kAllgather &&
+  if (wire != WirePath::kAllgather &&
       algorithm != collective::Algorithm::kArrivalTree) {
-    const auto schedule =
-        CollectiveSchedule::for_algorithm(algorithm, pg.wire(), ranks, n);
-    auto buffer = pg.reduce_scatter(contributions, schedule, algorithm, ctx);
-    pg.allgather(buffer, schedule);
-    return buffer;
+    return schedule_allreduce(transport, ledger, contributions, algorithm,
+                              wire, ctx);
   }
   const bool plays_all = transport.ranks_played() == ranks;
   const collective::RankDataT<T> gathered =
@@ -440,30 +429,38 @@ ProcessGroup::ProcessGroup(std::unique_ptr<Transport> transport,
   }
 }
 
-#define FPNA_PROCESS_GROUP_OPS(T)                                            \
-  std::vector<T> ProcessGroup::allreduce(                                    \
-      const collective::RankDataT<T>& contributions,                         \
-      collective::Algorithm algorithm, const core::EvalContext& ctx,         \
-      std::size_t block_elements) {                                          \
-    return allreduce_impl(*this, *transport_, ledger_, contributions,        \
-                          algorithm, ctx, block_elements);                   \
-  }                                                                          \
-  std::vector<T> ProcessGroup::reduce_scatter(                               \
-      const collective::RankDataT<T>& contributions,                         \
-      const CollectiveSchedule& schedule, collective::Algorithm algorithm,   \
-      const core::EvalContext& ctx) {                                        \
-    return reduce_scatter_impl(*transport_, ledger_, contributions,          \
-                               schedule, algorithm, ctx);                    \
-  }                                                                          \
-  void ProcessGroup::allgather(std::vector<T>& buffer,                       \
-                               const CollectiveSchedule& schedule) {         \
-    allgather_impl(*transport_, ledger_, buffer, schedule);                  \
+std::vector<double> ProcessGroup::allreduce(
+    const collective::RankData& contributions,
+    collective::Algorithm algorithm, const core::EvalContext& ctx,
+    std::size_t block_elements) {
+  return allreduce_impl(*transport_, ledger_, wire_, contributions, algorithm,
+                        ctx, block_elements);
+}
+
+std::vector<float> ProcessGroup::allreduce(
+    const collective::RankDataF& contributions,
+    collective::Algorithm algorithm, const core::EvalContext& ctx,
+    std::size_t block_elements) {
+  return allreduce_impl(*transport_, ledger_, wire_, contributions, algorithm,
+                        ctx, block_elements);
+}
+
+double distributed_sum(std::span<const double> data, std::size_t ranks,
+                       collective::Algorithm algorithm,
+                       const core::EvalContext& ctx) {
+  if (ranks == 0) throw std::invalid_argument("distributed_sum: zero ranks");
+  if (algorithm == collective::Algorithm::kReproducible) {
+    return fp::reduce<double>(fp::AlgorithmId::kSuperaccumulator, data);
   }
-
-FPNA_PROCESS_GROUP_OPS(double)
-FPNA_PROCESS_GROUP_OPS(float)
-
-#undef FPNA_PROCESS_GROUP_OPS
+  collective::RankData partials;
+  std::size_t begin = 0;
+  for (const std::size_t size : collective::shard_sizes(data.size(), ranks)) {
+    partials.push_back(
+        {fp::reduce(ctx.reduction_in_effect(), data.subspan(begin, size))});
+    begin += size;
+  }
+  return combine(partials, algorithm, ctx, 1024)[0];
+}
 
 SimProcessGroup::SimProcessGroup(std::size_t ranks, WirePath wire)
     : ProcessGroup(std::make_unique<InProcessTransport>(ranks), wire) {}

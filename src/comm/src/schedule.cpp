@@ -41,7 +41,7 @@ CollectiveSchedule CollectiveSchedule::ring(std::size_t ranks,
   for (std::size_t r = 0; r < ranks; ++r) s.shards_[r] = chunk(r);
 
   // Reduce-scatter: chunk c accumulates along ranks (c+1)%P, (c+2)%P,
-  // ..., c%P (the allreduce_ring order). Each hop sends the running
+  // ..., c%P (the MPICH ring order). Each hop sends the running
   // partial; the receiver folds its own value on the right, so every
   // combine is (incoming chain) + (local contribution).
   for (std::size_t step = 0; step + 1 < ranks; ++step) {
@@ -97,7 +97,7 @@ CollectiveSchedule CollectiveSchedule::butterfly(std::size_t ranks,
   std::size_t step = 0;
   // Non-power-of-two pre-fold: extras send their whole buffer to their
   // partner, which folds it on the right (buffers[r-active] + buffers[r],
-  // the allreduce_recursive_doubling pre-step).
+  // the MPICH recursive-doubling pre-step).
   if (ranks > active && elements > 0) {
     for (std::size_t r = active; r < ranks; ++r) {
       s.messages_.push_back(Message{
@@ -115,8 +115,8 @@ CollectiveSchedule CollectiveSchedule::butterfly(std::size_t ranks,
   // Recursive halving in *doubling stage order* (distance 1, 2, 4, ...):
   // this pairs the same ranks at the same stage as the whole-buffer
   // butterfly, and with lower-rank partials always on the left of the
-  // combine, every element's association tree matches
-  // allreduce_recursive_doubling exactly. Each rank keeps the half
+  // combine, every element's association tree is that of the
+  // whole-buffer recursive doubling. Each rank keeps the half
   // selected by the stage's bit of its id (0 -> lower half), so its final
   // shard is the nested-halving cell addressed by its bits LSB-first.
   std::vector<ShardRange> cur(active, ShardRange{0, elements});

@@ -181,7 +181,7 @@ double dsum(std::span<const double> data, std::size_t ranks,
             Algorithm algorithm, core::RunContext* run = nullptr) {
   core::EvalContext ctx;
   ctx.run = run;
-  return distributed_sum(data, ranks, algorithm, ctx);
+  return comm::distributed_sum(data, ranks, algorithm, ctx);
 }
 
 std::vector<double> mixed_magnitude(std::size_t n, std::uint64_t seed) {
