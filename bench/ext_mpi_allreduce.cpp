@@ -57,8 +57,8 @@ void distributed_sum_variability(std::size_t size, std::size_t runs,
           collective::Algorithm::kArrivalTree,
           collective::Algorithm::kReproducible}) {
       const auto kernel = [&](core::RunContext& run) {
-        return comm::distributed_sum(
-            data, ranks, algorithm, core::EvalContext::nondeterministic_on(run));
+        const auto ctx = core::EvalContext::nondeterministic_on(run);
+        return comm::distributed_sum(data, ranks, algorithm, ctx);
       };
       const auto cert =
           core::certify_deterministic_scalar(kernel, 10, seed + 1);

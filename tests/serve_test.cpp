@@ -9,7 +9,9 @@
 //  * a seeded overload burst against a tiny queue neither drops nor
 //    corrupts a single request (backpressure blocks, never shed);
 //  * a worker exception fails exactly the owning requests' futures and
-//    deadlocks nothing (the batcher's join-and-rethrow audit).
+//    deadlocks nothing (the batcher's join-and-rethrow audit);
+//  * seeded malformed requests (out-of-range neighbour ids, wrong
+//    feature widths) fail only their own rows, each with its exception.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -382,6 +385,110 @@ TEST(InferenceSession, BadNeighbourFailsOnlyItsOwnRow) {
   ASSERT_NE(outcomes[1].error, nullptr);
   EXPECT_THROW(std::rethrow_exception(outcomes[1].error), std::out_of_range);
   EXPECT_EQ(outcomes[2].error, nullptr);
+}
+
+TEST(InferenceSession, SeededBadRequestsFailOnlyTheirOwnRows) {
+  // Seeded malformed requests: out-of-range neighbour ids from {-1,
+  // INT64_MIN, num_nodes, INT64_MAX} at a random position of the list,
+  // and feature rows one element short or long. In a batch and through
+  // the server, each bad row fails alone with its own exception, and each
+  // good row is bitwise the same request served alone.
+  const ServeWorld world;
+  const std::int64_t nodes = world.dataset.num_nodes();
+  const std::int64_t bad_ids[] = {-1, std::numeric_limits<std::int64_t>::min(),
+                                  nodes,
+                                  std::numeric_limits<std::int64_t>::max()};
+  enum class Fault { kNone, kBadNeighbour, kFeatureWidth };
+  std::map<Fault, int> seen;
+  util::ThreadPool pool(2);
+  for (const char* spec_text : {"serial", "kahan@simd8:bf16:f32"}) {
+    const fp::ReductionSpec spec = fp::parse_reduction_spec(spec_text);
+    const InferenceSession session = world.session(spec);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      util::Xoshiro256pp rng(seed);
+      auto requests = make_requests(world.dataset, 24);
+      std::vector<Fault> faults(requests.size(), Fault::kNone);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        Request& request = requests[i];
+        switch (rng() % 3) {
+          case 0:
+            break;
+          case 1: {
+            const auto at = static_cast<std::ptrdiff_t>(
+                rng() % (request.neighbors.size() + 1));
+            request.neighbors.insert(request.neighbors.begin() + at,
+                                     bad_ids[rng() % 4]);
+            faults[i] = Fault::kBadNeighbour;
+            break;
+          }
+          default:
+            if (rng() % 2 == 0) {
+              request.features.pop_back();
+            } else {
+              request.features.push_back(0.5f);
+            }
+            faults[i] = Fault::kFeatureWidth;
+        }
+      }
+
+      core::EvalContext ctx;
+      ctx.accumulator = spec;
+      ctx.pool = seed % 2 == 0 ? &pool : nullptr;
+      const auto outcomes = session.batch_forward(requests, ctx);
+      ServerConfig config;
+      config.max_batch = 8;
+      config.pool = &pool;
+      config.spec = spec;
+      InferenceServer server(session, config);
+      std::vector<std::future<InferenceResult>> futures;
+      for (const auto& request : requests) {
+        futures.push_back(server.submit(request));
+      }
+
+      ASSERT_EQ(outcomes.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::string where = std::string(spec_text) + " seed " +
+                                  std::to_string(seed) + " request " +
+                                  std::to_string(i);
+        const RowOutcome& outcome = outcomes[i];
+        ++seen[faults[i]];
+        switch (faults[i]) {
+          case Fault::kNone: {
+            EXPECT_EQ(outcome.error, nullptr) << where;
+            const auto alone = session.batch_forward(
+                std::span<const Request>(&requests[i], 1), ctx);
+            ASSERT_EQ(alone.front().error, nullptr) << where;
+            EXPECT_TRUE(bitwise_equal(outcome.log_probs,
+                                      alone.front().log_probs))
+                << where;
+            EXPECT_TRUE(bitwise_equal(futures[i].get().log_probs,
+                                      alone.front().log_probs))
+                << where;
+            break;
+          }
+          case Fault::kBadNeighbour:
+            ASSERT_NE(outcome.error, nullptr) << where;
+            EXPECT_TRUE(outcome.log_probs.empty()) << where;
+            EXPECT_THROW(std::rethrow_exception(outcome.error),
+                         std::out_of_range)
+                << where;
+            EXPECT_THROW(futures[i].get(), std::out_of_range) << where;
+            break;
+          case Fault::kFeatureWidth:
+            ASSERT_NE(outcome.error, nullptr) << where;
+            EXPECT_TRUE(outcome.log_probs.empty()) << where;
+            EXPECT_THROW(std::rethrow_exception(outcome.error),
+                         std::invalid_argument)
+                << where;
+            EXPECT_THROW(futures[i].get(), std::invalid_argument) << where;
+            break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen[Fault::kNone], 0);
+  EXPECT_GT(seen[Fault::kBadNeighbour], 0);
+  EXPECT_GT(seen[Fault::kFeatureWidth], 0);
 }
 
 // --------------------------------------------------- MPSC queue --------
