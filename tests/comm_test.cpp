@@ -258,7 +258,7 @@ collective::RankDataT<T> mixed_magnitude_rank_data(std::size_t ranks,
 }
 
 TEST(WireSchedules, BitwiseEqualToAllgatherBackendForEveryAlgorithm) {
-  // The tentpole certification: every wire - the allgather backend and
+  // The wire certification: every wire - the allgather backend and
   // the ring and butterfly message schedules - reproduces the reference
   // loops' bits exactly, for the rounded deterministic algorithms (whose
   // association the schedule pins per message) and the exact
